@@ -8,7 +8,9 @@
 // Fleet mode scales the service out: a coordinator (-coordinator, or
 // any server given -peers) shards sweep grids and surface ladders
 // across registered workers, retries shards lost to dead workers, and
-// merges the results — byte-identical to a single node. A worker is
+// merges the results — byte-identical to a single node; runs and
+// optimizer evaluations that miss its cache are evaluated on a worker.
+// A coordinator must not list itself among its workers. A worker is
 // just another mpserved pointed at the coordinator with
 // -worker -join; it registers its targets and capacity, heartbeats,
 // and executes shard jobs through its ordinary /v1/* endpoints.

@@ -438,6 +438,25 @@ func (d *dispatcher) handle(r attemptResult) {
 	}
 }
 
+// submitGrace is how long a shard submission may still run after its
+// attempt's context ends — the same bound Client.Cancel gives the
+// cancel fan-out.
+const submitGrace = 5 * time.Second
+
+// linger returns a context with ctx's values that ends grace after ctx
+// does.
+func linger(ctx context.Context, grace time.Duration) (context.Context, context.CancelFunc) {
+	lctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	stop := context.AfterFunc(ctx, func() {
+		t := time.AfterFunc(grace, cancel)
+		context.AfterFunc(lctx, func() { t.Stop() })
+	})
+	return lctx, func() {
+		stop()
+		cancel()
+	}
+}
+
 // runAttempt executes one attempt on its worker and reports the result
 // to the dispatcher. It is the only code that touches the worker for
 // this attempt: submit, await (with the liveness watchdog), and the
@@ -466,7 +485,13 @@ func (d *dispatcher) runAttempt(ctx context.Context, at *attemptState) {
 		}
 	}
 	var view JobView
-	queued, err := d.submit(actx, w.Addr, i)
+	// The submission outlives a cancel that lands while it is in flight:
+	// a worker that already queued the shard must hand back its job ID,
+	// or the cancel fan-out below could not reach that job and it would
+	// run to completion as an orphan.
+	sctx, scancel := linger(actx, submitGrace)
+	queued, err := d.submit(sctx, w.Addr, i)
+	scancel()
 	if err == nil {
 		view, err = c.awaitWithWatchdog(actx, w, queued.ID, onPoint)
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"mpstream/internal/obs/obstest"
 )
 
 func TestMergeExpositions(t *testing.T) {
@@ -65,7 +67,7 @@ func TestMergeExpositions(t *testing.T) {
 
 	// The merged output is itself a well-formed exposition (the
 	// federation endpoint serves exactly this).
-	ValidateExposition(t, merged)
+	obstest.ValidateExposition(t, merged)
 }
 
 func TestMergeExpositionsEmpty(t *testing.T) {
@@ -74,7 +76,7 @@ func TestMergeExpositionsEmpty(t *testing.T) {
 		// Zero parts still render the up-family header block... or nothing
 		// at all; either way the output must stay valid.
 		if merged != "" {
-			ValidateExposition(t, merged)
+			obstest.ValidateExposition(t, merged)
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"mpstream/internal/obs/obstest"
 )
 
 func newTestMux() *http.ServeMux {
@@ -106,7 +108,7 @@ func TestMiddlewareMetrics(t *testing.T) {
 	if got := reg.Gauge("mpstream_http_inflight_requests", "").Value(); got != 0 {
 		t.Errorf("inflight gauge = %v after requests drained, want 0", got)
 	}
-	ValidateExposition(t, out)
+	obstest.ValidateExposition(t, out)
 }
 
 func TestMiddlewareFlusherPassthrough(t *testing.T) {

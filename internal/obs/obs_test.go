@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"mpstream/internal/obs/obstest"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -107,7 +109,7 @@ func TestExpositionFormatValid(t *testing.T) {
 	var sb strings.Builder
 	r.WritePrometheus(&sb)
 	out := sb.String()
-	ValidateExposition(t, out)
+	obstest.ValidateExposition(t, out)
 	for _, want := range []string{
 		`a_total{k="quote \" slash \\ done"} 7`,
 		"b -2.25",
@@ -234,5 +236,5 @@ func TestSimMetrics(t *testing.T) {
 			t.Errorf("sim exposition missing %q:\n%s", want, out)
 		}
 	}
-	ValidateExposition(t, out)
+	obstest.ValidateExposition(t, out)
 }

@@ -1,4 +1,7 @@
-package obs
+// Package obstest holds test helpers for telemetry output. It imports
+// testing, so only _test files may import it: production binaries must
+// not link the testing package.
+package obstest
 
 import (
 	"regexp"
@@ -12,8 +15,8 @@ var expositionLine = regexp.MustCompile(
 
 // ValidateExposition fails t on any line that is neither a comment nor
 // a well-formed sample, and checks HELP/TYPE precede their family's
-// samples. It lives outside the _test files so service-level tests in
-// other packages can validate their scrapes against the same contract.
+// samples. It lives outside the _test files so tests in every package
+// validate their scrapes against the same contract.
 func ValidateExposition(t *testing.T, body string) {
 	t.Helper()
 	seenSamples := map[string]bool{}

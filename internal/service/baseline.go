@@ -8,11 +8,7 @@ import (
 	"time"
 
 	"mpstream/internal/baseline"
-	"mpstream/internal/cluster"
 	"mpstream/internal/core"
-	"mpstream/internal/obs"
-	"mpstream/internal/runstate"
-	"mpstream/internal/sim/mem"
 	"mpstream/internal/surface"
 )
 
@@ -109,11 +105,7 @@ func (s *Server) RecordBaseline(req BaselineRequest) (baseline.Entry, error) {
 		Updated:   now,
 	}
 	if res != nil {
-		cfg := res.Config
-		if req.Config != nil {
-			cfg = *req.Config
-		}
-		cfg = cfg.Canonical()
+		cfg := orDefault(req.Config, res.Config).Canonical()
 		if err := cfg.Validate(); err != nil {
 			return baseline.Entry{}, err
 		}
@@ -125,11 +117,7 @@ func (s *Server) RecordBaseline(req BaselineRequest) (baseline.Entry, error) {
 		if surf.Stopped != "" {
 			return baseline.Entry{}, fmt.Errorf("service: surface is partial (stopped: %s); baselines record complete measurements only", surf.Stopped)
 		}
-		scfg := surf.Config
-		if req.SurfaceConfig != nil {
-			scfg = *req.SurfaceConfig
-		}
-		scfg = scfg.WithDefaults()
+		scfg := orDefault(req.SurfaceConfig, surf.Config).WithDefaults()
 		if err := scfg.Validate(); err != nil {
 			return baseline.Entry{}, err
 		}
@@ -237,6 +225,11 @@ func (s *Server) SubmitCheck(ctx context.Context, name string, tol *baseline.Tol
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrNoBaseline, name)
 	}
+	// Stores validate what they hold; re-checking keeps a custom store's
+	// malformed entry from reaching the executor.
+	if err := e.Validate(); err != nil {
+		return nil, err
+	}
 	if _, err := s.checkTarget(e.Target); err != nil {
 		return nil, err
 	}
@@ -255,6 +248,11 @@ func (s *Server) SubmitCheck(ctx context.Context, name string, tol *baseline.Tol
 	j.mu.Lock()
 	j.bentry = e
 	j.btol = resolved
+	if e.Kind == baseline.KindRun {
+		j.cfg = *e.Config
+	} else {
+		j.scfg, j.clo, j.chi = *e.SurfaceConfig, 0, e.SurfaceConfig.CurveCount()
+	}
 	j.view.Fingerprint = e.Fingerprint
 	j.mu.Unlock()
 	if err := s.enqueue(j); err != nil {
@@ -263,143 +261,41 @@ func (s *Server) SubmitCheck(ctx context.Context, name string, tol *baseline.Tol
 	return j, nil
 }
 
-// executeCheck re-measures a baseline's configuration — across the
-// fleet when a coordinator with alive workers is attached, locally
-// otherwise — and verdicts the fresh measurement against the stored
-// reference. A canceled or deadline-expired surface check still
-// verdicts the rungs it measured (a Partial report); a run check is one
-// evaluation unit and stops without a verdict. A fail verdict is a
-// successfully *completed* check: the job lands in done and the CLI
-// exit code, metrics and alert feed carry the severity.
-func (s *Server) executeCheck(ctx context.Context, j *Job) {
-	switch j.bentry.Kind {
-	case baseline.KindRun:
-		s.executeCheckRun(ctx, j)
-	case baseline.KindSurface:
-		s.executeCheckSurface(ctx, j)
-	default:
-		j.finish(StatusFailed, func(v *View) {
-			v.Error = fmt.Sprintf("baseline %q has unknown kind %q", j.bentry.Name, j.bentry.Kind)
-		})
-	}
-}
-
-func (s *Server) executeCheckRun(ctx context.Context, j *Job) {
-	snap := j.Snapshot()
-	e := j.bentry
-	j.prog.SetTotal(1)
-	j.prog.SetPhase("check:run")
-	var res *core.Result
-	if fl := s.opts.Cluster; fl != nil && fl.HasWorkers(snap.Target) {
-		rctx, sp := obs.StartSpan(ctx, "check.eval", "baseline", e.Name, "remote", "true")
-		r, err := fl.Eval(rctx, snap.Target, *e.Config, snap.TimeoutMS)
-		sp.End()
-		switch {
-		case err == nil:
-			res = r
-		case errors.Is(err, cluster.ErrUnavailable):
-			// Fleet drained mid-check: fall through to local measurement.
-		default:
-			if st := runstate.FromErr(err); st != "" || runstate.FromContext(ctx) != "" {
-				j.finishStopped(st, nil)
-				return
-			}
-			j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-			return
-		}
-	}
-	if res == nil {
-		dev, err := s.opts.NewDevice(snap.Target)
-		if err != nil {
-			j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-			return
-		}
-		rctx, sp := obs.StartSpan(ctx, "check.eval", "baseline", e.Name)
-		res, err = core.RunContext(rctx, dev, *e.Config)
-		sp.End()
-		if err != nil {
-			// A single run is one evaluation unit: a canceled check has
-			// nothing measured, so there is no partial verdict.
-			if st := runstate.FromErr(err); st != "" {
-				j.finishStopped(st, nil)
-				return
-			}
-			j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-			return
-		}
-	}
-	j.prog.Step(1)
-	j.prog.Observe(maxKernelGBps(res))
-	j.publishPoint(PointEvent{Label: "check:" + e.Name, GBps: maxKernelGBps(res), Feasible: true})
-	rep := s.verdict(j, baseline.FromResult(res), false)
-	j.finish(StatusDone, func(v *View) {
-		v.Check = &rep
-		v.Result = res
-	})
-}
-
-func (s *Server) executeCheckSurface(ctx context.Context, j *Job) {
-	snap := j.Snapshot()
-	e := j.bentry
-	scfg := *e.SurfaceConfig
-	j.prog.SetTotal(scfg.Points())
-	j.prog.SetPhase("check:surface")
-	var res *surface.Surface
-	if fl := s.opts.Cluster; fl != nil && fl.HasWorkers(snap.Target) {
-		spec := cluster.SurfaceSpec{Target: snap.Target, Config: scfg, TimeoutMS: snap.TimeoutMS}
-		fres, stopped, err := fl.Surface(ctx, spec, s.fleetHooks(j))
-		switch {
-		case err != nil && errors.Is(err, cluster.ErrUnavailable) && stopped == "":
-			// Fall through to local measurement.
-		case err != nil && stopped != "":
-			// Canceled before any shard landed: nothing measured, no verdict.
-			j.finishStopped(stopped, nil)
-			return
-		case err != nil:
-			j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-			return
-		default:
-			res = fres
-		}
-	}
-	if res == nil {
-		dev, err := s.opts.NewDevice(snap.Target)
-		if err != nil {
-			j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-			return
-		}
-		observe := func(pat mem.Pattern, readFrac float64, p surface.Point) {
-			j.prog.Step(1)
-			j.prog.Observe(p.AchievedGBps)
-			j.publishPoint(PointEvent{
-				Label:     fmt.Sprintf("%s/r%.2g@%.2g", surface.PatternLabel(pat), readFrac, p.Rate),
-				GBps:      p.AchievedGBps,
-				Feasible:  true,
-				LatencyNs: p.LatencyNs,
+// executeCheck re-measures a baseline's configuration and verdicts the
+// fresh measurement against the stored reference. A check is the run
+// or surface composition with the memo skipped — the whole point is a
+// fresh measurement, so it neither reads nor writes the caches — on the
+// same evaluator the run or surface would use, followed by the verdict.
+// A canceled or deadline-expired surface check still verdicts the rungs
+// it measured (a Partial report); a run check is one evaluation unit
+// and stops without a verdict. A fail verdict is a successfully
+// *completed* check: the job lands in done and the CLI exit code,
+// metrics and alert feed carry the severity.
+func (s *Server) executeCheck(ctx context.Context, j *Job, ev *evaluator) {
+	name := j.bentry.Name
+	if j.bentry.Kind == baseline.KindRun {
+		j.prog.SetPhase("check:run")
+		res, _, ok := s.measureRun(ctx, j, ev, nil, "check:"+name, "check.eval", "baseline", name)
+		if ok {
+			rep := s.verdict(j, baseline.FromResult(res), false)
+			j.finish(StatusDone, func(v *View) {
+				v.Check = &rep
+				v.Result = res
 			})
 		}
-		res, err = core.RunSurfaceShard(ctx, dev, scfg, 0, scfg.CurveCount(), observe)
-		if err != nil {
-			j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-			return
-		}
+		return
 	}
-	if res.Stopped != "" {
-		// Canceled or deadlined mid-ladder: verdict the measured subset
-		// as a partial report — missing reference rungs are skipped, not
-		// failed — and land in canceled like every other partial job.
-		rep := s.verdict(j, baseline.FromSurface(res), true)
-		j.finishStopped(res.Stopped, func(v *View) {
+	j.prog.SetPhase("check:surface")
+	res, _, ok := s.measureSurface(ctx, j, ev, nil)
+	if ok {
+		// A stopped measurement verdicts its measured subset: missing
+		// reference rungs are skipped, not failed.
+		rep := s.verdict(j, baseline.FromSurface(res), res.Stopped != "")
+		j.complete(res.Stopped, func(v *View) {
 			v.Check = &rep
 			v.Surface = res
 		})
-		return
 	}
-	rep := s.verdict(j, baseline.FromSurface(res), false)
-	j.finish(StatusDone, func(v *View) {
-		v.Check = &rep
-		v.Surface = res
-	})
 }
 
 // verdict compares a check's fresh measurement against its baseline —

@@ -178,6 +178,7 @@ func TestCancelQueuedJob(t *testing.T) {
 // follower still completes. Run with -race.
 func TestCancelSingleFlightLeader(t *testing.T) {
 	gate := make(chan struct{})
+	entered := make(chan struct{}, 1)
 	compiles := &atomic.Int64{}
 	e := newEnv(t, service.Options{
 		Workers: 4,
@@ -186,7 +187,7 @@ func TestCancelSingleFlightLeader(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return countingDevice{Device: gatedDevice{Device: d, gate: gate}, compiles: compiles}, nil
+			return countingDevice{Device: gatedDevice{Device: d, gate: gate, entered: entered}, compiles: compiles}, nil
 		},
 	})
 	cfg := smallConfig()
@@ -195,7 +196,14 @@ func TestCancelSingleFlightLeader(t *testing.T) {
 		return decodeJob(t, data).ID
 	}
 	leader := submit()
-	waitStatus(t, e, leader, service.StatusRunning)
+	// Running is reported before the leader reaches the device; wait
+	// until it is blocked inside Compile, so its compilation is counted
+	// before the cancel lands.
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("leader never entered Compile")
+	}
 	f1, f2 := submit(), submit()
 	waitStatus(t, e, f1, service.StatusRunning)
 	waitStatus(t, e, f2, service.StatusRunning)

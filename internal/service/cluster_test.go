@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"mpstream/internal/baseline"
 	"mpstream/internal/cluster"
 	"mpstream/internal/device"
 	"mpstream/internal/device/targets"
@@ -347,6 +348,16 @@ func TestFleetCancelPropagates(t *testing.T) {
 	if canceled.Status == service.StatusDone {
 		t.Fatalf("cancel landed after completion: %+v", canceled)
 	}
+	// The fan-out to the workers is asynchronous: wait until it reaches
+	// a worker job before opening the gate, or the pinned shards could
+	// finish first.
+	deadline = time.Now().Add(10 * time.Second)
+	for !workerCancelLanded(t, fe) {
+		if time.Now().After(deadline) {
+			t.Fatal("the fleet cancel never reached a worker job")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	// Open the gate: the pinned points finish, and every worker job must
 	// stop at that evaluation-unit boundary instead of running its shard
 	// to completion.
@@ -390,6 +401,19 @@ func TestFleetCancelPropagates(t *testing.T) {
 	if !sawCanceled {
 		t.Error("no worker job was canceled — the fan-out never landed")
 	}
+}
+
+// workerCancelLanded reports whether any worker job has been asked to
+// stop.
+func workerCancelLanded(t *testing.T, fe *fleetEnv) bool {
+	for _, w := range fe.workers {
+		for _, v := range workerJobs(t, w) {
+			if j, ok := w.srv.Job(v.ID); ok && j.Context().Err() != nil {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestFleetSurfaceMatchesSingleNode: a curve-sharded fleet surface is
@@ -534,6 +558,205 @@ func TestFleetFallsBackWithoutWorkers(t *testing.T) {
 	}
 	if e.compiles.Load() == 0 {
 		t.Error("empty-fleet coordinator did not execute locally")
+	}
+}
+
+// TestFleetRunEvaluatesOnWorkers: a /v1/run on a coordinator is
+// evaluated on a worker — the coordinator compiles nothing — and reads
+// byte-identically to a single-node run; a repeat is answered by the
+// coordinator's own run cache.
+func TestFleetRunEvaluatesOnWorkers(t *testing.T) {
+	req := service.RunRequest{Target: "cpu", Config: ptr(smallConfig())}
+	single := newEnv(t, service.Options{})
+	_, data := single.post(t, "/v1/run", req)
+	sj := decodeJob(t, data)
+	if sj.Status != service.StatusDone || sj.Result == nil {
+		t.Fatalf("single-node run = %+v", sj)
+	}
+	want, _ := json.Marshal(sj.Result)
+
+	fe := newFleetEnv(t, 2, nil)
+	for i, wantCached := range []bool{false, true} {
+		resp, data := fe.post(t, "/v1/run", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("fleet run %d status %d: %s", i, resp.StatusCode, data)
+		}
+		fj := decodeJob(t, data)
+		if fj.Status != service.StatusDone || fj.Result == nil || fj.Cached != wantCached {
+			t.Fatalf("fleet run %d = %+v, want done with cached %v", i, fj, wantCached)
+		}
+		if got, _ := json.Marshal(fj.Result); !bytes.Equal(got, want) {
+			t.Fatalf("fleet run %d diverges from single node:\n got %s\nwant %s", i, got, want)
+		}
+	}
+	if n := fe.compiles.Load(); n != 0 {
+		t.Errorf("coordinator compiled %d kernels, want 0", n)
+	}
+	if n, want := fe.workerCompiles(), single.compiles.Load(); n != want {
+		t.Errorf("workers compiled %d kernels, want %d (one evaluation)", n, want)
+	}
+}
+
+// TestFleetLoopsBack: work a coordinator hands its fleet may come back
+// to a coordinator already waiting on that key's single-flight — its
+// own, when it is listed in its own fleet, or a peer's, when two
+// coordinators list each other. Handed-out work never joins a flight,
+// so runs and surfaces still finish, byte-identical to a standalone
+// server.
+func TestFleetLoopsBack(t *testing.T) {
+	runReq := service.RunRequest{Target: "cpu", Config: ptr(smallConfig()), TimeoutMS: 30_000}
+	scfg := smallSurface()
+	surfReq := service.SurfaceRequest{Target: "gpu", Config: &scfg, TimeoutMS: 30_000}
+	standalone := surfEnv(t, service.Options{})
+	want := map[string][]byte{}
+	for path, req := range map[string]any{"/v1/run": runReq, "/v1/surface": surfReq} {
+		_, data := standalone.post(t, path, req)
+		v := decodeJob(t, data)
+		want[path], _ = json.Marshal(jobPayload(v))
+	}
+
+	// coordinator builds a server coordinating a fleet of the servers
+	// listed later with join.
+	coordinator := func(name string) (*testEnv, *cluster.Coordinator) {
+		coord := cluster.New(cluster.Options{HeartbeatTTL: 5 * time.Minute, DisableSpeculation: true})
+		t.Cleanup(coord.Close)
+		// Two job slots: the job itself plus the work handed back to it.
+		return surfEnv(t, service.Options{Cluster: coord, Origin: name, Workers: 2}), coord
+	}
+	join := func(coord *cluster.Coordinator, e *testEnv, id string) {
+		coord.Register(cluster.WorkerInfo{ID: id, Addr: e.ts.URL, Targets: targets.IDs(), Capacity: 2})
+	}
+	check := func(t *testing.T, e *testEnv, path string, req any) {
+		t.Helper()
+		resp, data := e.post(t, path, req)
+		v := decodeJob(t, data)
+		if resp.StatusCode != http.StatusOK || v.Status != service.StatusDone {
+			t.Errorf("%s status %d, job %s (%s)", path, resp.StatusCode, v.Status, v.Error)
+		} else if got, _ := json.Marshal(jobPayload(v)); !bytes.Equal(got, want[path]) {
+			t.Errorf("%s diverges from standalone:\n got %s\nwant %s", path, got, want[path])
+		}
+	}
+
+	t.Run("self", func(t *testing.T) {
+		a, coord := coordinator("a")
+		join(coord, a, "a")
+		check(t, a, "/v1/run", runReq)
+		check(t, a, "/v1/surface", surfReq)
+	})
+	t.Run("mesh", func(t *testing.T) {
+		a, coordA := coordinator("a")
+		b, coordB := coordinator("b")
+		join(coordA, b, "b")
+		join(coordB, a, "a")
+		for path, req := range map[string]any{"/v1/run": runReq, "/v1/surface": surfReq} {
+			var wg sync.WaitGroup
+			for _, e := range []*testEnv{a, b} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					check(t, e, path, req)
+				}()
+			}
+			wg.Wait()
+		}
+	})
+}
+
+// jobPayload is a finished run's result or surface job's surface.
+func jobPayload(v service.View) any {
+	if v.Surface != nil {
+		return v.Surface
+	}
+	return v.Result
+}
+
+// TestFleetCheckMatchesStandalone: run and surface checks on a
+// coordinator — measured by its two workers, or locally when its fleet
+// is empty — give the same verdicts and the same result bytes as on a
+// standalone server.
+func TestFleetCheckMatchesStandalone(t *testing.T) {
+	// Surfaces need raw devices: the counting wrapper hides the
+	// MemorySystem interface surface measurement requires.
+	standalone := surfEnv(t, service.Options{})
+	_, data := standalone.post(t, "/v1/run", service.RunRequest{Target: "cpu", Config: ptr(smallConfig())})
+	run := decodeJob(t, data)
+	scfg := smallSurface()
+	_, data = standalone.post(t, "/v1/surface", service.SurfaceRequest{Target: "gpu", Config: &scfg})
+	surf := decodeJob(t, data)
+	if run.Result == nil || surf.Surface == nil {
+		t.Fatalf("reference jobs = %+v, %+v", run, surf)
+	}
+
+	// checks records both baselines on e from the reference payloads and
+	// returns the canonical JSON of each check's report (check time
+	// zeroed) and measured payload.
+	checks := func(e *testEnv) (reports, payloads [2][]byte) {
+		t.Helper()
+		for _, b := range []service.BaselineRequest{
+			{Name: "run", Target: "cpu", Result: run.Result},
+			{Name: "surf", Target: "gpu", Surface: surf.Surface},
+		} {
+			if resp, data := e.post(t, "/v1/baselines", b); resp.StatusCode != http.StatusOK {
+				t.Fatalf("record %s: status %d: %s", b.Name, resp.StatusCode, data)
+			}
+		}
+		for i, name := range []string{"run", "surf"} {
+			_, data := e.post(t, "/v1/check", service.CheckRequest{Name: name})
+			job := decodeJob(t, data)
+			if job.Status != service.StatusDone || job.Check == nil {
+				t.Fatalf("check %s = status %q error %q", name, job.Status, job.Error)
+			}
+			if job.Check.Verdict != baseline.VerdictPass {
+				t.Errorf("check %s verdict %q, violations %v", name, job.Check.Verdict, job.Check.Violations)
+			}
+			job.Check.Checked = time.Time{}
+			reports[i], _ = json.Marshal(job.Check)
+			if job.Result != nil {
+				payloads[i], _ = json.Marshal(job.Result)
+			} else {
+				payloads[i], _ = json.Marshal(job.Surface)
+			}
+		}
+		return reports, payloads
+	}
+	wantReports, wantPayloads := checks(standalone)
+
+	fe := newFleetEnv(t, 2, func(int) service.Options {
+		return service.Options{NewDevice: targets.ByID}
+	})
+	empty := cluster.New(cluster.Options{})
+	t.Cleanup(empty.Close)
+	for _, tc := range []struct {
+		name string
+		e    *testEnv
+	}{
+		{"fleet", fe.testEnv},
+		{"empty fleet", surfEnv(t, service.Options{Cluster: empty})},
+	} {
+		reports, payloads := checks(tc.e)
+		for i := range reports {
+			if !bytes.Equal(reports[i], wantReports[i]) {
+				t.Errorf("%s: report diverges from standalone:\n got %s\nwant %s", tc.name, reports[i], wantReports[i])
+			}
+			if !bytes.Equal(payloads[i], wantPayloads[i]) {
+				t.Errorf("%s: measurement diverges from standalone:\n got %s\nwant %s", tc.name, payloads[i], wantPayloads[i])
+			}
+		}
+	}
+
+	// On the fleet, the coordinator measured nothing itself: the run
+	// check went to one worker, the surface check to at least one shard.
+	if n := fe.compiles.Load(); n != 0 {
+		t.Errorf("coordinator compiled %d kernels, want 0", n)
+	}
+	kinds := map[service.Kind]int{}
+	for _, w := range fe.workers {
+		for _, v := range workerJobs(t, w) {
+			kinds[v.Kind]++
+		}
+	}
+	if kinds[service.KindRun] != 1 || kinds[service.KindSurface] == 0 {
+		t.Errorf("worker jobs by kind = %v, want 1 run and >= 1 surface shard", kinds)
 	}
 }
 

@@ -165,6 +165,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) (int, error) {
 //	GET    /v1/cluster/metrics       federated fleet metrics, one exposition with a worker label (coordinators only)
 //	POST   /v1/cluster/shard/sweep   execute one sweep grid shard [lo, hi)
 //	POST   /v1/cluster/shard/surface execute one surface curve shard [lo, hi)
+//	POST   /v1/cluster/shard/run     execute one configuration (sync)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", s.handleRun)
@@ -201,6 +202,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/cluster/workers", s.handleClusterWorkers)
 	mux.HandleFunc("POST /v1/cluster/shard/sweep", s.handleSweepShard)
 	mux.HandleFunc("POST /v1/cluster/shard/surface", s.handleSurfaceShard)
+	mux.HandleFunc("POST /v1/cluster/shard/run", s.handleRunShard)
 	// The middleware mints/propagates trace IDs and measures every
 	// route; with metrics disabled it still carries traces through.
 	return obs.Middleware(s.reg, s.log, mux)
@@ -255,22 +257,35 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, j *Job, async b
 	}
 }
 
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) { s.serveRun(w, r, false) }
+
+// handleRunShard is POST /v1/cluster/shard/run: evaluate one
+// configuration locally — the worker half of a coordinator's remote
+// eval. Any server answers it; the run is never handed on.
+func (s *Server) handleRunShard(w http.ResponseWriter, r *http.Request) { s.serveRun(w, r, true) }
+
+func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, shard bool) {
 	var req RunRequest
 	if code, err := decodeBody(w, r, &req); err != nil {
 		writeError(w, code, err)
 		return
 	}
-	cfg := core.DefaultConfig()
-	if req.Config != nil {
-		cfg = *req.Config
-	}
-	j, err := s.SubmitRun(r.Context(), req.Target, cfg, msToDuration(req.TimeoutMS))
+	cfg := orDefault(req.Config, core.DefaultConfig())
+	j, err := s.submitRun(r.Context(), req.Target, cfg, msToDuration(req.TimeoutMS), shard)
 	if err != nil {
 		s.writeSubmitError(w, r, err)
 		return
 	}
 	s.respond(w, r, j, req.Async)
+}
+
+// orDefault is an optional request field's value: *p, or def when the
+// field is absent.
+func orDefault[T any](p *T, def T) T {
+	if p == nil {
+		return def
+	}
+	return *p
 }
 
 // msToDuration converts a request's timeout_ms field; negative values
@@ -297,14 +312,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err)
 		return
 	}
-	base := core.DefaultConfig()
-	if req.Base != nil {
-		base = *req.Base
-	}
-	op := kernel.Copy
-	if req.Op != nil {
-		op = *req.Op
-	}
+	base, op := orDefault(req.Base, core.DefaultConfig()), orDefault(req.Op, kernel.Copy)
 	j, err := s.SubmitSweep(r.Context(), req.Target, base, req.Space, op, msToDuration(req.TimeoutMS))
 	if err != nil {
 		s.writeSubmitError(w, r, err)
@@ -319,14 +327,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err)
 		return
 	}
-	base := core.DefaultConfig()
-	if req.Base != nil {
-		base = *req.Base
-	}
-	op := kernel.Copy
-	if req.Op != nil {
-		op = *req.Op
-	}
+	base, op := orDefault(req.Base, core.DefaultConfig()), orDefault(req.Op, kernel.Copy)
 	opts := search.Options{Strategy: req.Strategy, Budget: req.Budget, Seed: req.Seed, Objective: req.Objective}
 	j, err := s.SubmitOptimize(r.Context(), req.Target, base, req.Space, op, opts, msToDuration(req.TimeoutMS))
 	if err != nil {
@@ -342,10 +343,7 @@ func (s *Server) handleSurface(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err)
 		return
 	}
-	var cfg surface.Config
-	if req.Config != nil {
-		cfg = *req.Config
-	}
+	cfg := orDefault(req.Config, surface.Config{})
 	j, err := s.SubmitSurface(r.Context(), req.Target, cfg, msToDuration(req.TimeoutMS))
 	if err != nil {
 		s.writeSubmitError(w, r, err)
@@ -752,14 +750,7 @@ func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err)
 		return
 	}
-	base := core.DefaultConfig()
-	if req.Base != nil {
-		base = *req.Base
-	}
-	op := kernel.Copy
-	if req.Op != nil {
-		op = *req.Op
-	}
+	base, op := orDefault(req.Base, core.DefaultConfig()), orDefault(req.Op, kernel.Copy)
 	j, err := s.SubmitSweepShard(r.Context(), req.Target, base, req.Space, op, req.Lo, req.Hi, msToDuration(req.TimeoutMS))
 	if err != nil {
 		s.writeSubmitError(w, r, err)
@@ -777,10 +768,7 @@ func (s *Server) handleSurfaceShard(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err)
 		return
 	}
-	var cfg surface.Config
-	if req.Config != nil {
-		cfg = *req.Config
-	}
+	cfg := orDefault(req.Config, surface.Config{})
 	j, err := s.SubmitSurfaceShard(r.Context(), req.Target, cfg, req.Lo, req.Hi, msToDuration(req.TimeoutMS))
 	if err != nil {
 		s.writeSubmitError(w, r, err)

@@ -143,10 +143,11 @@ type Job struct {
 	// check compares against) and the resolved tolerance.
 	bentry baseline.Entry
 	btol   baseline.Tolerance
-	// fleet marks jobs eligible for distribution: plain sweeps and
-	// surfaces on a coordinator. Shard jobs are never fleet-eligible —
-	// a worker must execute its slice locally, not re-shard it.
-	fleet bool
+	// shard marks work a coordinator handed to this server — a slice
+	// of a sweep or surface, or one run: it always executes locally (a
+	// worker must not hand it on) and never joins a single-flight (see
+	// memo.solo).
+	shard bool
 
 	// timeout is the per-job execution deadline, applied when the job
 	// starts running; 0 means none. Immutable after submit.
@@ -348,6 +349,28 @@ func (j *Job) finishStopped(reason string, mutate func(v *View)) {
 			mutate(v)
 		}
 	})
+}
+
+// complete lands the job in done, or in canceled when its work stopped
+// early (stopped is the stop tag); mutate attaches the payload, partial
+// or whole, either way.
+func (j *Job) complete(stopped string, mutate func(v *View)) {
+	if stopped != "" {
+		j.finishStopped(stopped, mutate)
+		return
+	}
+	j.finish(StatusDone, mutate)
+}
+
+// fail lands the job in failed with err — or in canceled, without a
+// payload, when err is (or arrived with) the end of the job's context:
+// stopped work is not a failure.
+func (j *Job) fail(err error) {
+	if st := runstate.FromErr(err); st != "" || runstate.FromContext(j.Context()) != "" {
+		j.finishStopped(st, nil)
+		return
+	}
+	j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
 }
 
 // jobStore indexes jobs by id, bounded to maxRetained entries: the

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"mpstream/internal/obs"
+	"mpstream/internal/obs/obstest"
 	"mpstream/internal/service"
 )
 
@@ -78,7 +79,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	postRun(t, e) // second submission is a cache hit
 
 	body := scrape(t, e)
-	obs.ValidateExposition(t, body)
+	obstest.ValidateExposition(t, body)
 	for _, want := range []string{
 		"# TYPE mpstream_http_requests_total counter",
 		`mpstream_http_requests_total{code="200",route="POST /v1/run"} 2`,
@@ -177,7 +178,7 @@ func TestMetricsMonotonicUnderConcurrency(t *testing.T) {
 	<-scraperDone
 
 	body := scrape(t, e)
-	obs.ValidateExposition(t, body)
+	obstest.ValidateExposition(t, body)
 	total := float64(goroutines * runsEach)
 	if v := metricValue(t, body, `mpstream_jobs_submitted_total\{kind="run"\}`); v != total {
 		t.Errorf("jobs_submitted_total = %v, want %v", v, total)
@@ -302,7 +303,7 @@ func TestFleetTracePropagation(t *testing.T) {
 
 	// The coordinator's scrape shows fleet scheduling outcomes.
 	body := scrape(t, fe.testEnv)
-	obs.ValidateExposition(t, body)
+	obstest.ValidateExposition(t, body)
 	if v := metricValue(t, body, `mpstream_cluster_shards_total\{state="done"\}`); v < 1 {
 		t.Errorf("cluster shards done = %v, want >= 1", v)
 	}

@@ -23,7 +23,11 @@
 // generations over a deterministic simulator reproduce exactly.
 // Identical run, optimize and surface requests are single-flighted:
 // concurrent duplicates wait for one leader and then read its cached
-// result.
+// result. Each LRU and its single-flight form one memo.
+//
+// Below the memos, every job measures through one evaluator, chosen
+// once per job: local, or — on a coordinator — the fleet, with local
+// fallback while the fleet is unavailable.
 package service
 
 import (
@@ -36,7 +40,6 @@ import (
 	"log/slog"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mpstream/internal/baseline"
@@ -48,8 +51,6 @@ import (
 	"mpstream/internal/dse/search"
 	"mpstream/internal/kernel"
 	"mpstream/internal/obs"
-	"mpstream/internal/runstate"
-	"mpstream/internal/sim/mem"
 	"mpstream/internal/surface"
 )
 
@@ -143,9 +144,10 @@ type Options struct {
 	// derives the list from the paper's four targets.
 	TargetInfos func() []device.Info
 	// Cluster attaches a fleet coordinator: sweep and surface jobs are
-	// sharded across its registered workers (falling back to local
-	// execution while the fleet is empty), optimize jobs farm their
-	// point evaluations out through its remote-eval pool, and the
+	// sharded across its registered workers, run jobs and optimize
+	// point evaluations go out through its remote-eval pool, check jobs
+	// do whichever their baseline's kind does (all falling back to
+	// local execution while the fleet is empty), and the
 	// /v1/cluster/{register,heartbeat,workers} endpoints come alive.
 	// Nil means a standalone server. The server does not own the
 	// coordinator; the caller Closes it.
@@ -253,18 +255,13 @@ type Server struct {
 	infos     []device.Info // target list, resolved once at startup
 	jobs      *jobStore
 	queue     chan *Job
-	cache     *resultCache
-	optCache  *optimizeCache
-	surfCache *surfaceCache
+	cache     *memo[*core.Result]
+	optCache  *memo[*search.Result]
+	surfCache *memo[*surface.Surface]
 	start     time.Time
 	reg       *obs.Registry // nil when Options.DisableMetrics
 	rec       *obs.Recorder // span recorder; nil when Options.DisableMetrics
 	log       *slog.Logger  // never nil; NopLogger by default
-
-	// flight deduplicates concurrently executing identical run jobs:
-	// fingerprint -> channel closed when the leading execution finishes.
-	flightMu sync.Mutex
-	flight   map[string]chan struct{}
 
 	// checkMu guards the baseline monitor state: the latest report per
 	// baseline (the drift-ratio and last-check-age gauges read it) and
@@ -297,7 +294,6 @@ func New(opts Options) *Server {
 		cache:     newResultCache(opts.CacheEntries),
 		optCache:  newOptimizeCache(opts.CacheEntries),
 		surfCache: newSurfaceCache(opts.CacheEntries),
-		flight:    make(map[string]chan struct{}),
 		start:     time.Now(),
 		quit:      make(chan struct{}),
 
@@ -402,8 +398,16 @@ func spanParentFor(ctx context.Context) string {
 // SubmitRun validates and enqueues one configuration on one target.
 // timeout bounds the job's execution once it starts running (clamped to
 // Options.MaxTimeout; 0 means none). ctx scopes the submission itself
-// (its trace ID is inherited by the job), not the job's execution.
+// (its trace ID is inherited by the job), not the job's execution. On
+// a coordinator with alive workers a cache miss is evaluated on one of
+// them.
 func (s *Server) SubmitRun(ctx context.Context, target string, cfg core.Config, timeout time.Duration) (*Job, error) {
+	return s.submitRun(ctx, target, cfg, timeout, false)
+}
+
+// submitRun is SubmitRun; shard marks a run a fleet coordinator handed
+// this server, which always executes locally.
+func (s *Server) submitRun(ctx context.Context, target string, cfg core.Config, timeout time.Duration, shard bool) (*Job, error) {
 	info, err := s.checkTarget(target)
 	if err != nil {
 		return nil, err
@@ -423,6 +427,7 @@ func (s *Server) SubmitRun(ctx context.Context, target string, cfg core.Config, 
 	j.mu.Lock()
 	j.cfg = cfg
 	j.view.Fingerprint = cfg.Fingerprint(target)
+	j.shard = shard
 	j.mu.Unlock()
 	if err := s.enqueue(j); err != nil {
 		return nil, err
@@ -435,7 +440,7 @@ func (s *Server) SubmitRun(ctx context.Context, target string, cfg core.Config, 
 // Options.MaxTimeout; 0 means none). On a coordinator with alive
 // workers the grid is sharded across the fleet.
 func (s *Server) SubmitSweep(ctx context.Context, target string, base core.Config, space dse.Space, op kernel.Op, timeout time.Duration) (*Job, error) {
-	return s.submitSweep(ctx, target, base, space, op, 0, space.Size(), timeout, true)
+	return s.submitSweep(ctx, target, base, space, op, 0, space.Size(), timeout, false)
 }
 
 // SubmitSweepShard validates and enqueues the slice [lo, hi) of a
@@ -445,10 +450,10 @@ func (s *Server) SubmitSweepShard(ctx context.Context, target string, base core.
 	if size := space.Size(); lo < 0 || hi < lo || hi > size {
 		return nil, fmt.Errorf("service: sweep shard [%d,%d) out of the %d-point grid", lo, hi, size)
 	}
-	return s.submitSweep(ctx, target, base, space, op, lo, hi, timeout, false)
+	return s.submitSweep(ctx, target, base, space, op, lo, hi, timeout, true)
 }
 
-func (s *Server) submitSweep(ctx context.Context, target string, base core.Config, space dse.Space, op kernel.Op, lo, hi int, timeout time.Duration, fleet bool) (*Job, error) {
+func (s *Server) submitSweep(ctx context.Context, target string, base core.Config, space dse.Space, op kernel.Op, lo, hi int, timeout time.Duration, shard bool) (*Job, error) {
 	info, err := s.checkTarget(target)
 	if err != nil {
 		return nil, err
@@ -476,7 +481,7 @@ func (s *Server) submitSweep(ctx context.Context, target string, base core.Confi
 	j.mu.Lock()
 	j.base, j.space, j.op = base, space, op
 	j.lo, j.hi = lo, hi
-	j.fleet = fleet
+	j.shard = shard
 	j.mu.Unlock()
 	if err := s.enqueue(j); err != nil {
 		return nil, err
@@ -550,7 +555,7 @@ func (s *Server) SubmitOptimize(ctx context.Context, target string, base core.Co
 // share one cache entry. On a coordinator with alive workers the
 // ladder's curves are sharded across the fleet.
 func (s *Server) SubmitSurface(ctx context.Context, target string, cfg surface.Config, timeout time.Duration) (*Job, error) {
-	return s.submitSurface(ctx, target, cfg, 0, cfg.CurveCount(), timeout, true)
+	return s.submitSurface(ctx, target, cfg, 0, cfg.CurveCount(), timeout, false)
 }
 
 // SubmitSurfaceShard validates and enqueues the curves [lo, hi) of a
@@ -560,10 +565,10 @@ func (s *Server) SubmitSurfaceShard(ctx context.Context, target string, cfg surf
 	if n := cfg.CurveCount(); lo < 0 || hi < lo || hi > n {
 		return nil, fmt.Errorf("service: surface shard [%d,%d) out of the %d-curve ladder", lo, hi, n)
 	}
-	return s.submitSurface(ctx, target, cfg, lo, hi, timeout, false)
+	return s.submitSurface(ctx, target, cfg, lo, hi, timeout, true)
 }
 
-func (s *Server) submitSurface(ctx context.Context, target string, cfg surface.Config, lo, hi int, timeout time.Duration, fleet bool) (*Job, error) {
+func (s *Server) submitSurface(ctx context.Context, target string, cfg surface.Config, lo, hi int, timeout time.Duration, shard bool) (*Job, error) {
 	if _, err := s.checkTarget(target); err != nil {
 		return nil, err
 	}
@@ -593,7 +598,7 @@ func (s *Server) submitSurface(ctx context.Context, target string, cfg surface.C
 	j.mu.Lock()
 	j.scfg = cfg
 	j.clo, j.chi = lo, hi
-	j.fleet = fleet
+	j.shard = shard
 	j.view.Fingerprint = surfaceFingerprint(target, cfg, lo, hi)
 	j.mu.Unlock()
 	if err := s.enqueue(j); err != nil {
@@ -744,17 +749,18 @@ func (s *Server) execute(j *Job) {
 			obs.DurationBuckets, "kind", string(snap.Kind)).
 			Observe(snap.Started.Sub(snap.Created).Seconds())
 	}
+	ev := s.evaluatorFor(j)
 	switch snap.Kind {
 	case KindRun:
-		s.executeRun(ctx, j)
+		s.executeRun(ctx, j, ev)
 	case KindSweep:
-		s.executeSweep(ctx, j)
+		s.executeSweep(ctx, j, ev)
 	case KindOptimize:
-		s.executeOptimize(ctx, j)
+		s.executeOptimize(ctx, j, ev)
 	case KindSurface:
-		s.executeSurface(ctx, j)
+		s.executeSurface(ctx, j, ev)
 	case KindCheck:
-		s.executeCheck(ctx, j)
+		s.executeCheck(ctx, j, ev)
 	default:
 		j.finish(StatusFailed, func(v *View) { v.Error = fmt.Sprintf("unknown job kind %q", v.Kind) })
 	}
@@ -770,43 +776,6 @@ func rehome(res *core.Result, cfg core.Config) *core.Result {
 	return &r
 }
 
-// claimFlight registers fp as in-flight. leader is true for the caller
-// that should execute; followers get the leader's completion channel.
-func (s *Server) claimFlight(fp string) (leader bool, ch chan struct{}) {
-	s.flightMu.Lock()
-	defer s.flightMu.Unlock()
-	if ch, ok := s.flight[fp]; ok {
-		return false, ch
-	}
-	ch = make(chan struct{})
-	s.flight[fp] = ch
-	return true, ch
-}
-
-// releaseFlight unregisters fp and wakes the followers.
-func (s *Server) releaseFlight(fp string, ch chan struct{}) {
-	s.flightMu.Lock()
-	delete(s.flight, fp)
-	s.flightMu.Unlock()
-	close(ch)
-}
-
-// awaitFlight blocks a single-flight follower until its leader finishes
-// or the follower's own job is canceled. false means the follower must
-// stop: detaching a follower never touches the leader, which keeps
-// simulating for everyone else. Conversely, a canceled *leader*
-// releases its flight without caching, so one woken follower finds the
-// cache still cold, claims the flight, and takes over — followers are
-// never wedged behind a dead leader.
-func awaitFlight(ctx context.Context, ch <-chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
 // maxKernelGBps is the best bandwidth across a run's kernels, the
 // scalar a run job feeds its progress tracker.
 func maxKernelGBps(res *core.Result) float64 {
@@ -819,360 +788,127 @@ func maxKernelGBps(res *core.Result) float64 {
 	return best
 }
 
-// executeRun serves a run job from the cache when possible, otherwise
-// simulates and populates the cache. Concurrent identical runs are
-// deduplicated: one leader simulates, followers wait and then read the
-// cache (if the leader failed — or was canceled — the next follower
-// takes over).
-func (s *Server) executeRun(ctx context.Context, j *Job) {
-	snap := j.Snapshot()
-	j.prog.SetTotal(1)
+// executeRun answers a run job through the run memo: from the cache,
+// by waiting on an identical run already in flight, or by one
+// evaluation.
+func (s *Server) executeRun(ctx context.Context, j *Job, ev *evaluator) {
 	j.prog.SetPhase("run")
-	finishCached := func(res *core.Result) {
-		j.prog.Step(1)
-		j.prog.Observe(maxKernelGBps(res))
-		j.publishPoint(PointEvent{Label: dse.ConfigLabel(j.cfg), GBps: maxKernelGBps(res), Feasible: true, Cached: true})
+	label := dse.ConfigLabel(j.cfg)
+	res, hit, ok := s.measureRun(ctx, j, ev, s.cache, label, "run.eval", "label", label)
+	if ok {
 		j.finish(StatusDone, func(v *View) {
-			v.Cached = true
-			v.Result = rehome(res, j.cfg)
+			v.Cached = hit
+			v.Result = res
 		})
 	}
-	// Dedup only pays off when the cache can hand followers the leader's
-	// result; with caching disabled, identical runs execute in parallel.
-	if s.cache.enabled() {
-		for {
-			if res, ok := s.cache.get(snap.Fingerprint); ok {
-				finishCached(res)
-				return
-			}
-			leader, ch := s.claimFlight(snap.Fingerprint)
-			if !leader {
-				if !awaitFlight(ctx, ch) {
-					j.finishStopped("", nil)
-					return
-				}
-				continue
-			}
-			// The previous leader may have filled the cache between our
-			// miss and the claim; re-check so a promoted follower never
-			// re-simulates a cached configuration.
-			if res, ok := s.cache.get(snap.Fingerprint); ok {
-				s.releaseFlight(snap.Fingerprint, ch)
-				finishCached(res)
-				return
-			}
-			defer s.releaseFlight(snap.Fingerprint, ch)
-			break
+}
+
+// measureRun is the run composition shared by run and check jobs: it
+// answers j.cfg through m (nil bypasses cache and single-flight),
+// evaluating under the named span, and reports the answer as one point
+// labeled label. ok false means j already landed in failed or
+// canceled.
+func (s *Server) measureRun(ctx context.Context, j *Job, ev *evaluator, m *memo[*core.Result], label, span string, attrs ...string) (res *core.Result, hit, ok bool) {
+	j.prog.SetTotal(1)
+	res, hit, err := answer(ctx, j, m, func() (*core.Result, error) {
+		if err := ev.prepare(); err != nil {
+			return nil, err
 		}
-	}
-	dev, err := s.opts.NewDevice(snap.Target)
+		ectx, sp := obs.StartSpan(ctx, span, attrs...)
+		defer sp.End()
+		return ev.run(ectx, j.cfg)
+	})
 	if err != nil {
-		j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-		return
+		// A single run is one evaluation unit: a stopped run has no
+		// partial payload.
+		j.fail(err)
+		return nil, false, false
 	}
-	rctx, sp := obs.StartSpan(ctx, "run.eval", "label", dse.ConfigLabel(j.cfg))
-	res, err := core.RunContext(rctx, dev, j.cfg)
-	sp.End()
-	if err != nil {
-		// A canceled or deadline-expired run lands in canceled — a single
-		// run is one evaluation unit, so there is no partial payload.
-		if st := runstate.FromErr(err); st != "" {
-			j.finishStopped(st, nil)
-			return
-		}
-		j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-		return
+	if hit {
+		res = rehome(res, j.cfg)
 	}
-	s.cache.put(snap.Fingerprint, res)
-	j.prog.Step(1)
-	j.prog.Observe(maxKernelGBps(res))
-	j.publishPoint(PointEvent{Label: dse.ConfigLabel(j.cfg), GBps: maxKernelGBps(res), Feasible: true})
-	j.finish(StatusDone, func(v *View) { v.Result = res })
+	j.publishPoint(PointEvent{Label: label, GBps: maxKernelGBps(res), Feasible: true, Cached: hit})
+	return res, hit, true
+}
+
+// answer answers j's fingerprint through m: single-flighted, or solo
+// for work a coordinator handed out.
+func answer[V any](ctx context.Context, j *Job, m *memo[V], compute func() (V, error)) (V, bool, error) {
+	if j.shard {
+		return m.solo(j.Snapshot().Fingerprint, compute)
+	}
+	return m.do(ctx, j.Snapshot().Fingerprint, compute)
 }
 
 // executeSweep evaluates a grid (or one shard of it) with per-point
-// cache integration: points already in the result cache are reused,
-// the misses fan out over dse.EvalParallelContext, and fresh feasible
-// results are inserted back so later runs and sweeps hit. The
-// assembled ranking is byte-identical to dse.Explore over the same
-// grid. A canceled or deadline-expired sweep ranks the points
-// evaluated before the stop and lands in canceled. On a coordinator
-// with alive workers, a fleet-eligible sweep is sharded across the
-// fleet instead (local execution is the fallback while the fleet is
-// empty).
-func (s *Server) executeSweep(ctx context.Context, j *Job) {
-	if j.fleet && s.opts.Cluster != nil && s.executeFleetSweep(ctx, j) {
-		return
-	}
-	snap := j.Snapshot()
-	cfgs := j.space.ConfigsRange(j.base, j.lo, j.hi)
-	j.prog.SetTotal(len(cfgs))
+// run-cache integration; see evaluator.sweep. A canceled or
+// deadline-expired sweep ranks the points evaluated before the stop and
+// lands in canceled.
+func (s *Server) executeSweep(ctx context.Context, j *Job, ev *evaluator) {
+	j.prog.SetTotal(j.hi - j.lo)
 	j.prog.SetPhase("sweep")
-
-	pts := make([]dse.Point, len(cfgs))
-	fps := make([]string, len(cfgs))
-	var missCfgs []core.Config
-	var missLabels []string
-	var missIdx []int
-	cachedPoints := 0
-	for i, cfg := range cfgs {
-		// With the cache disabled, skip fingerprinting and lookups
-		// entirely — same guard executeRun applies.
-		if s.cache.enabled() {
-			fps[i] = cfg.Fingerprint(snap.Target)
-			if res, ok := s.cache.get(fps[i]); ok {
-				pts[i] = dse.Point{Label: dse.ConfigLabel(cfg), Config: cfg, Result: rehome(res, cfg)}
-				cachedPoints++
-				j.prog.Step(1)
-				j.prog.Observe(pts[i].GBps(j.op))
-				j.publishPoint(PointEvent{Label: pts[i].Label, GBps: pts[i].GBps(j.op), Feasible: true, Cached: true})
-				continue
-			}
-		}
-		missCfgs = append(missCfgs, cfg)
-		missLabels = append(missLabels, dse.ConfigLabel(cfg))
-		missIdx = append(missIdx, i)
-	}
-
-	stopped := runstate.FromContext(ctx)
-	if len(missCfgs) > 0 && stopped == "" {
-		// A factory failure is an infrastructure error, not an infeasible
-		// design point: record it and fail the whole job instead of
-		// reporting a successful sweep full of phantom infeasibles.
-		var factoryErr atomic.Pointer[error]
-		factory := func() (device.Device, error) {
-			dev, err := s.opts.NewDevice(snap.Target)
-			if err != nil {
-				factoryErr.CompareAndSwap(nil, &err)
-			}
-			return dev, err
-		}
-		// onPoint runs concurrently on the sweep workers; tracker and
-		// event log are safe for that.
-		onPoint := func(_ int, p dse.Point) {
-			j.prog.Step(1)
-			g := p.GBps(j.op)
-			j.prog.Observe(g)
-			pe := PointEvent{Label: p.Label, GBps: g, Feasible: p.Err == nil}
-			if p.Err != nil {
-				pe.Error = p.Err.Error()
-			}
-			j.publishPoint(pe)
-		}
-		var fresh []dse.Point
-		// The batch span brackets the whole parallel fan-out; each grid
-		// point records its own child span inside the dse workers.
-		bctx, bsp := obs.StartSpan(ctx, "sweep.batch",
-			"points", fmt.Sprint(len(missCfgs)), "workers", fmt.Sprint(s.opts.SweepWorkers))
-		fresh, stopped = dse.EvalParallelContext(bctx, factory, missCfgs, missLabels, s.opts.SweepWorkers, onPoint)
-		bsp.End()
-		if errp := factoryErr.Load(); errp != nil {
-			// EvalParallelContext marks the claimed point whenever the
-			// factory fails, so a recorded error always means unevaluated
-			// points.
-			err := *errp
-			j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-			return
-		}
-		for k, p := range fresh {
-			i := missIdx[k]
-			pts[i] = p
-			// Unevaluated holes (canceled before the point was claimed)
-			// must not poison the cache with nil results.
-			if p.Evaluated() && p.Err == nil {
-				s.cache.put(fps[i], p.Result)
-			}
-		}
-	}
-
-	if stopped != "" {
-		ex := dse.Rank(dse.EvaluatedPoints(pts), j.op)
-		j.finishStopped(stopped, func(v *View) {
-			v.Sweep = &ex
-			v.CachedPoints = cachedPoints
-		})
+	ex, cachedPoints, stopped, err := ev.sweep(ctx, j.base, j.space, j.op, j.lo, j.hi)
+	if err != nil {
+		j.fail(err)
 		return
 	}
-	ex := dse.Rank(pts, j.op)
-	j.finish(StatusDone, func(v *View) {
-		v.Sweep = &ex
+	j.complete(stopped, func(v *View) {
+		v.Sweep = ex
 		v.CachedPoints = cachedPoints
 	})
 }
 
-// fleetHooks adapts a fleet job's coordinator callbacks onto the job's
-// progress tracker and event log: forwarded worker point events become
-// ordinary point/progress events (one merged NDJSON stream), shard
-// scheduling updates become shard events, and a retried shard's
-// already-streamed points are rewound so aggregate progress never
-// counts an evaluation unit twice. Both callbacks arrive concurrently
-// from shard goroutines; the tracker and event log are safe for that.
-func (s *Server) fleetHooks(j *Job) cluster.FleetHooks {
-	return cluster.FleetHooks{
-		OnPoint: func(p cluster.PointEvent) {
-			j.prog.Step(1)
-			j.prog.Observe(p.GBps)
-			j.publishPoint(PointEvent(p))
-		},
-		OnShard: func(u cluster.ShardUpdate) {
-			if u.RewindPoints > 0 {
-				j.prog.Step(-u.RewindPoints)
-			}
-			// Shard tail latency: one observation per finished attempt,
-			// split by outcome so the tail of retried shards is visible.
-			if s.reg != nil && u.ElapsedMS > 0 && u.State != "assigned" {
-				s.reg.Histogram("mpstream_cluster_shard_seconds",
-					"Wall-clock duration of fleet shard attempts, by outcome.",
-					obs.DurationBuckets, "state", string(u.State)).
-					Observe(float64(u.ElapsedMS) / 1000)
-			}
-			j.publishShard(u)
-		},
-	}
-}
-
-// executeFleetSweep shards a sweep across the coordinator's workers.
-// false means the fleet could not take the job (no alive workers for
-// the target) and the caller must run it locally; any other outcome —
-// done, canceled with partial results, failed — is terminal here. The
-// merged ranking is byte-identical to a local sweep: shards are
-// contiguous grid ranges, each worker ranks with the same stable sort,
-// and the coordinator's merge preserves equal-bandwidth order.
-func (s *Server) executeFleetSweep(ctx context.Context, j *Job) bool {
-	snap := j.Snapshot()
-	total := j.space.Size()
-	j.prog.SetTotal(total)
-	j.prog.SetPhase("sweep:fleet")
-	spec := cluster.SweepSpec{Target: snap.Target, Base: j.base, Space: j.space, Op: j.op, TimeoutMS: snap.TimeoutMS}
-	ex, cached, stopped, err := s.opts.Cluster.Sweep(ctx, spec, s.fleetHooks(j))
-	if err != nil {
-		if errors.Is(err, cluster.ErrUnavailable) {
-			j.prog.SetPhase("sweep")
-			return false
-		}
-		j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-		return true
-	}
-	// Workers evaluated the points, but the results are canonical, so
-	// priming the coordinator's own run cache makes later runs and local
-	// sweeps over the same territory free.
-	if s.cache.enabled() {
-		for _, p := range ex.Ranked {
-			if p.Result != nil {
-				s.cache.put(p.Config.Fingerprint(snap.Target), p.Result)
-			}
-		}
-	}
-	if stopped != "" {
-		j.finishStopped(stopped, func(v *View) {
-			v.Sweep = ex
-			v.CachedPoints = cached
-		})
-		return true
-	}
-	// Reconcile aggregate progress: worker event streams are telemetry
-	// (a slow stream drops point events), so the counter can undershoot;
-	// a done job always reads done == total.
-	j.prog.Step(total - j.prog.Snapshot().Done)
-	j.finish(StatusDone, func(v *View) {
-		v.Sweep = ex
-		v.CachedPoints = cached
-	})
-	return true
-}
-
-// executeFleetSurface shards a surface's curves across the fleet; the
-// contract mirrors executeFleetSweep. It runs inside executeSurface's
-// single-flight leader, so a merged fleet surface lands in the same
-// whole-surface cache a local measurement would.
-func (s *Server) executeFleetSurface(ctx context.Context, j *Job) bool {
-	snap := j.Snapshot()
-	total := j.scfg.Points()
-	j.prog.SetTotal(total)
-	j.prog.SetPhase("surface:fleet")
-	spec := cluster.SurfaceSpec{Target: snap.Target, Config: j.scfg, TimeoutMS: snap.TimeoutMS}
-	res, stopped, err := s.opts.Cluster.Surface(ctx, spec, s.fleetHooks(j))
-	if err != nil {
-		if errors.Is(err, cluster.ErrUnavailable) && stopped == "" {
-			j.prog.SetPhase("surface")
-			return false
-		}
-		if stopped != "" {
-			// Canceled before any shard landed: terminal, with no payload.
-			j.finishStopped(stopped, nil)
-			return true
-		}
-		j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-		return true
-	}
-	if stopped != "" || res.Stopped != "" {
-		// Partial ladders must not prime the whole-surface cache.
-		j.finishStopped(stopped, func(v *View) { v.Surface = res })
-		return true
-	}
-	s.surfCache.put(snap.Fingerprint, res)
-	j.prog.Step(total - j.prog.Snapshot().Done)
-	j.finish(StatusDone, func(v *View) { v.Surface = res })
-	return true
-}
-
-// executeOptimize runs a budgeted strategy search. Whole-request
-// caching mirrors executeRun: identical optimize requests (same
-// target, base, space, op, strategy, budget and seed — the search is
-// deterministic under that tuple) are served from the optimizer LRU,
-// and concurrent identical requests are single-flighted so only the
-// leader searches. Below that, every unique evaluation shares the
-// per-point run-result cache with /v1/run and /v1/sweep, so an
-// optimizer walks for free over territory any earlier job explored.
-func (s *Server) executeOptimize(ctx context.Context, j *Job) {
-	snap := j.Snapshot()
+// executeOptimize runs a budgeted strategy search through the search
+// memo: identical optimize requests (same target, base, space, op,
+// strategy, budget and seed — the search is deterministic under that
+// tuple) are served from the cache, and concurrent identical requests
+// search once.
+func (s *Server) executeOptimize(ctx context.Context, j *Job, ev *evaluator) {
 	j.prog.SetTotal(j.sopts.Budget)
 	j.prog.SetPhase("search:" + j.sopts.Strategy)
-	finishCached := func(res *search.Result) {
+	cachedPoints := 0
+	res, hit, err := s.optCache.do(ctx, j.Snapshot().Fingerprint, func() (res *search.Result, err error) {
+		res, cachedPoints, err = s.search(ctx, j, ev)
+		return res, err
+	})
+	if err != nil {
+		j.fail(err)
+		return
+	}
+	if hit {
+		j.prog.Step(res.Evaluations)
+		j.prog.Observe(res.BestGBps)
+	}
+	if res.Stopped == "" {
 		// A completed strategy may legitimately stop below its budget
 		// (attempt caps in nearly-explored spaces); reconcile the total so
 		// a done job always reads done == total.
 		j.prog.SetTotal(res.Evaluations)
-		j.prog.Step(res.Evaluations)
-		j.prog.Observe(res.BestGBps)
-		j.finish(StatusDone, func(v *View) {
-			v.Cached = true
-			v.Optimize = res
-		})
 	}
-	if s.optCache.enabled() {
-		for {
-			if res, ok := s.optCache.get(snap.Fingerprint); ok {
-				finishCached(res)
-				return
-			}
-			leader, ch := s.claimFlight(snap.Fingerprint)
-			if !leader {
-				if !awaitFlight(ctx, ch) {
-					j.finishStopped("", nil)
-					return
-				}
-				continue
-			}
-			if res, ok := s.optCache.get(snap.Fingerprint); ok {
-				s.releaseFlight(snap.Fingerprint, ch)
-				finishCached(res)
-				return
-			}
-			defer s.releaseFlight(snap.Fingerprint, ch)
-			break
-		}
-	}
-	dev, err := s.opts.NewDevice(snap.Target)
+	// A stopped search still reports the best point found so far.
+	j.complete(res.Stopped, func(v *View) {
+		v.Cached = hit
+		v.Optimize = res
+		v.CachedPoints = cachedPoints
+	})
+}
+
+// search runs j's strategy. Every unique evaluation shares the
+// per-point run cache with /v1/run and /v1/sweep, so an optimizer walks
+// for free over territory any earlier job explored; misses go to the
+// evaluator (on a coordinator, the fleet's remote-eval pool — the
+// search stays local, since strategies are adaptive and sequential,
+// while simulations spread over the workers).
+func (s *Server) search(ctx context.Context, j *Job, ev *evaluator) (*search.Result, int, error) {
+	dev, err := ev.device()
 	if err != nil {
-		j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-		return
+		return nil, 0, err
 	}
-	// The search is sequential on one device (strategies are adaptive:
-	// the next evaluation depends on the last), so unlike sweeps there
-	// is no grid fan-out; parallelism comes from concurrent jobs. The
-	// engine calls eval and then the Observe hook synchronously from one
-	// goroutine, so lastCached needs no lock.
+	// The search is sequential on one device (the next evaluation
+	// depends on the last), so unlike sweeps there is no grid fan-out;
+	// parallelism comes from concurrent jobs. The engine calls eval and
+	// then the Observe hook synchronously from one goroutine, so
+	// lastCached needs no lock.
 	cachedPoints := 0
 	lastCached := false
 	eval := func(cfg core.Config, label, fp string) dse.Point {
@@ -1187,26 +923,7 @@ func (s *Server) executeOptimize(ctx context.Context, j *Job) {
 				return dse.Point{Label: label, Config: cfg, Result: rehome(res, cfg)}
 			}
 		}
-		// On a coordinator, cache misses are farmed out through the
-		// fleet's remote-eval pool — the search stays local (strategies
-		// are adaptive and sequential) while simulations spread over the
-		// workers, all sharing this per-point run cache. A fleet-level
-		// failure (no workers, transport exhausted) falls back to the
-		// local device; a worker-reported evaluation error is a real
-		// outcome (infeasible design, or this job's context ending).
-		if fl := s.opts.Cluster; fl != nil && fl.HasWorkers(snap.Target) {
-			sp.SetAttr("remote", "true")
-			res, err := fl.Eval(ectx, snap.Target, cfg, 0)
-			switch {
-			case err == nil:
-				s.cache.put(fp, res)
-				return dse.Point{Label: label, Config: cfg, Result: rehome(res, cfg)}
-			case !errors.Is(err, cluster.ErrUnavailable):
-				return dse.Point{Label: label, Config: cfg, Err: err}
-			}
-			sp.SetAttr("remote", "fallback")
-		}
-		res, err := core.RunContext(ectx, dev, cfg)
+		res, err := ev.run(ectx, cfg)
 		if err != nil {
 			return dse.Point{Label: label, Config: cfg, Err: err}
 		}
@@ -1218,60 +935,57 @@ func (s *Server) executeOptimize(ctx context.Context, j *Job) {
 		// Each unique point is scored at its loaded-latency knee ceiling.
 		// The knee rides on top of (possibly cached) runs; the wrapper
 		// memoizes the cheap, deterministic surface probe per traffic
-		// shape within this search, and the whole-search LRU above
-		// absorbs repeated requests.
+		// shape within this search, and the whole-search memo absorbs
+		// repeated requests.
 		searchEval = search.WithKneeObjective(dev, searchEval)
 	}
 	hooks := search.Hooks{
 		Context: ctx,
 		Observe: func(p dse.Point) {
-			j.prog.Step(1)
-			g := p.GBps(j.op)
-			j.prog.Observe(g)
-			pe := PointEvent{Label: p.Label, GBps: g, Feasible: p.Err == nil, Cached: lastCached}
+			pe := PointEvent{Label: p.Label, GBps: p.GBps(j.op), Feasible: p.Err == nil, Cached: lastCached}
 			if p.Err != nil {
 				pe.Error = p.Err.Error()
 			}
 			j.publishPoint(pe)
 		},
 	}
-	res, err := search.RunWithHooks(searchEval, func(c core.Config) string { return c.Fingerprint(snap.Target) },
+	res, err := search.RunWithHooks(searchEval, func(c core.Config) string { return c.Fingerprint(ev.target) },
 		j.base, j.space, j.op, j.sopts, hooks)
-	if err != nil {
-		// Unreachable in practice: strategy and budget were validated at
-		// submit time.
-		j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-		return
-	}
-	if res.Stopped != "" {
-		// A stopped search still reports the best point found so far,
-		// but the partial result must not prime the whole-search cache.
-		j.finishStopped(res.Stopped, func(v *View) {
-			v.Optimize = res
-			v.CachedPoints = cachedPoints
-		})
-		return
-	}
-	s.optCache.put(snap.Fingerprint, res)
-	// Same reconciliation as the cached path: a strategy that finished
-	// under budget still reports a complete done == total.
-	j.prog.SetTotal(res.Evaluations)
-	j.finish(StatusDone, func(v *View) {
-		v.Optimize = res
-		v.CachedPoints = cachedPoints
-	})
+	// An error is unreachable in practice: strategy and budget were
+	// validated at submit time.
+	return res, cachedPoints, err
 }
 
-// executeSurface measures a bandwidth–latency surface, mirroring
-// executeRun's whole-result caching and single-flight dedup: identical
-// surface requests (same target and canonical configuration — the
-// generator is deterministic) are served from the surface LRU, and
-// concurrent identical requests measure once.
-func (s *Server) executeSurface(ctx context.Context, j *Job) {
-	snap := j.Snapshot()
-	j.prog.SetTotal((j.chi - j.clo) * len(j.scfg.Rates))
+// executeSurface measures a bandwidth–latency surface through the
+// surface memo: identical surface requests (same target and canonical
+// configuration — the generator is deterministic) are served from the
+// cache, and concurrent identical requests measure once. On a
+// coordinator the one measurement is the fleet's merged one.
+func (s *Server) executeSurface(ctx context.Context, j *Job, ev *evaluator) {
 	j.prog.SetPhase("surface")
-	finishCached := func(res *surface.Surface) {
+	res, hit, ok := s.measureSurface(ctx, j, ev, s.surfCache)
+	if ok {
+		j.complete(res.Stopped, func(v *View) {
+			v.Cached = hit
+			v.Surface = res
+		})
+	}
+}
+
+// measureSurface is the surface composition shared by surface and
+// check jobs: it measures j's curves through m (nil bypasses cache and
+// single-flight). The surface may be partial (Stopped tagged); ok false
+// means j already landed in failed or canceled.
+func (s *Server) measureSurface(ctx context.Context, j *Job, ev *evaluator, m *memo[*surface.Surface]) (res *surface.Surface, hit, ok bool) {
+	j.prog.SetTotal((j.chi - j.clo) * len(j.scfg.Rates))
+	res, hit, err := answer(ctx, j, m, func() (*surface.Surface, error) {
+		return ev.surface(ctx, j.scfg, j.clo, j.chi)
+	})
+	if err != nil {
+		j.fail(err)
+		return nil, false, false
+	}
+	if hit {
 		j.prog.Step(len(res.Curves) * len(res.Config.Rates))
 		// Mirror the fresh path's per-rung observations so a cache hit
 		// reports the same best_gbps as the measurement that primed it.
@@ -1280,68 +994,8 @@ func (s *Server) executeSurface(ctx context.Context, j *Job) {
 				j.prog.Observe(p.AchievedGBps)
 			}
 		}
-		j.finish(StatusDone, func(v *View) {
-			v.Cached = true
-			v.Surface = res
-		})
 	}
-	if s.surfCache.enabled() {
-		for {
-			if res, ok := s.surfCache.get(snap.Fingerprint); ok {
-				finishCached(res)
-				return
-			}
-			leader, ch := s.claimFlight(snap.Fingerprint)
-			if !leader {
-				if !awaitFlight(ctx, ch) {
-					j.finishStopped("", nil)
-					return
-				}
-				continue
-			}
-			if res, ok := s.surfCache.get(snap.Fingerprint); ok {
-				s.releaseFlight(snap.Fingerprint, ch)
-				finishCached(res)
-				return
-			}
-			defer s.releaseFlight(snap.Fingerprint, ch)
-			break
-		}
-	}
-	// Fleet distribution happens inside the single-flight leader, so one
-	// merged fleet measurement serves every concurrent duplicate and
-	// primes the whole-surface cache like a local one.
-	if j.fleet && s.opts.Cluster != nil && s.executeFleetSurface(ctx, j) {
-		return
-	}
-	dev, err := s.opts.NewDevice(snap.Target)
-	if err != nil {
-		j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-		return
-	}
-	// The observer runs on the measuring goroutine, once per ladder rung.
-	observe := func(pat mem.Pattern, readFrac float64, p surface.Point) {
-		j.prog.Step(1)
-		j.prog.Observe(p.AchievedGBps)
-		j.publishPoint(PointEvent{
-			Label:     fmt.Sprintf("%s/r%.2g@%.2g", surface.PatternLabel(pat), readFrac, p.Rate),
-			GBps:      p.AchievedGBps,
-			Feasible:  true,
-			LatencyNs: p.LatencyNs,
-		})
-	}
-	res, err := core.RunSurfaceShard(ctx, dev, j.scfg, j.clo, j.chi, observe)
-	if err != nil {
-		j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-		return
-	}
-	if res.Stopped != "" {
-		// Partial ladders must not prime the whole-surface cache.
-		j.finishStopped(res.Stopped, func(v *View) { v.Surface = res })
-		return
-	}
-	s.surfCache.put(snap.Fingerprint, res)
-	j.finish(StatusDone, func(v *View) { v.Surface = res })
+	return res, hit, true
 }
 
 // clusterHealth is the coordinator block of /v1/healthz: the live

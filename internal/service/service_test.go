@@ -37,13 +37,22 @@ func (d countingDevice) Compile(k kernel.Kernel) (device.Compiled, error) {
 }
 
 // gatedDevice blocks every compilation until the gate closes, to pin a
-// job inside a worker deterministically.
+// job inside a worker deterministically. When entered is non-nil, each
+// compilation first offers it a signal (dropped if the buffer is full),
+// so a test can wait until a job is really blocked inside Compile.
 type gatedDevice struct {
 	device.Device
-	gate <-chan struct{}
+	gate    <-chan struct{}
+	entered chan<- struct{}
 }
 
 func (d gatedDevice) Compile(k kernel.Kernel) (device.Compiled, error) {
+	if d.entered != nil {
+		select {
+		case d.entered <- struct{}{}:
+		default:
+		}
+	}
 	<-d.gate
 	return d.Device.Compile(k)
 }

@@ -13,6 +13,7 @@ import (
 	"mpstream/internal/device"
 	"mpstream/internal/device/targets"
 	"mpstream/internal/obs"
+	"mpstream/internal/obs/obstest"
 	"mpstream/internal/service"
 )
 
@@ -365,7 +366,7 @@ func TestClusterMetricsFederation(t *testing.T) {
 			t.Errorf("federated exposition missing %s", want)
 		}
 	}
-	obs.ValidateExposition(t, body)
+	obstest.ValidateExposition(t, body)
 
 	// Federation is a coordinator affordance; plain servers 404.
 	plain := newEnv(t, service.Options{})
@@ -410,7 +411,7 @@ func TestMetricsGzip(t *testing.T) {
 	if !strings.Contains(string(plain), "mpstream_") {
 		t.Errorf("gunzipped metrics look wrong:\n%s", plain)
 	}
-	obs.ValidateExposition(t, string(plain))
+	obstest.ValidateExposition(t, string(plain))
 
 	// No Accept-Encoding → identity.
 	req, err = http.NewRequest(http.MethodGet, e.ts.URL+"/v1/metrics", nil)
