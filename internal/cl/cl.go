@@ -155,9 +155,6 @@ func (p *Program) BuildKernel(spec kernel.Kernel) (*Kernel, error) {
 	return &Kernel{ctx: p.ctx, spec: spec, compiled: compiled}, nil
 }
 
-// Spec returns the kernel configuration.
-func (k *Kernel) Spec() kernel.Kernel { return k.spec }
-
 // Compiled exposes the device plan (resources, fmax).
 func (k *Kernel) Compiled() device.Compiled { return k.compiled }
 

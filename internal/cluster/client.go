@@ -137,13 +137,11 @@ func (c *Client) SurfaceShard(ctx context.Context, worker string, req SurfaceSha
 	return out.Job, err
 }
 
-// Run executes one configuration on a worker synchronously — the
-// remote-eval primitive behind Coordinator.Eval. The worker runs it
-// locally even if it coordinates a fleet of its own. The
-// connection stays open for the duration of the run; a canceled ctx
-// abandons the request (a single run is one evaluation unit, so the
-// worker finishes at the same boundary local cancellation would).
-func (c *Client) Run(ctx context.Context, worker string, req RunRequest) (JobView, error) {
+// RunShard submits one configuration to a worker, async — the shard
+// behind Coordinator.Eval. The worker runs it locally even if it
+// coordinates a fleet of its own.
+func (c *Client) RunShard(ctx context.Context, worker string, req RunRequest) (JobView, error) {
+	req.Async = true
 	var out jobEnvelope
 	err := c.do(ctx, http.MethodPost, worker+"/v1/cluster/shard/run", req, &out)
 	return out.Job, err

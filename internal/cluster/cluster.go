@@ -129,12 +129,13 @@ type SurfaceShardRequest struct {
 	TimeoutMS int64           `json:"timeout_ms,omitempty"`
 }
 
-// RunRequest is the POST /v1/cluster/shard/run body the remote-eval
-// client pool submits (a strict subset of the service's /v1/run
-// request shape).
+// RunRequest is the POST /v1/cluster/shard/run body: the one-shard
+// fleet job Coordinator.Eval submits (the service's /v1/run request
+// shape).
 type RunRequest struct {
 	Target    string       `json:"target"`
 	Config    *core.Config `json:"config,omitempty"`
+	Async     bool         `json:"async,omitempty"`
 	TimeoutMS int64        `json:"timeout_ms,omitempty"`
 }
 

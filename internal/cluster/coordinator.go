@@ -19,8 +19,8 @@ import (
 )
 
 // ErrUnavailable wraps fleet failures that are about the fleet, not the
-// work: no alive workers, or every attempt exhausted on transport
-// errors. Callers fall back to local execution on it.
+// work: no alive worker for the target, or a run's shard lost after
+// every attempt. Callers fall back to local execution on it.
 var ErrUnavailable = errors.New("cluster: fleet unavailable")
 
 // Defaults for Options zero values.
@@ -333,17 +333,52 @@ type shardOutcome struct {
 	err     error  // attempts exhausted
 }
 
-// runShards drives n shards to outcomes through the pull-based
-// dispatcher in scheduler.go: shards queue in index (locality) order,
-// workers with free capacity pull the next shard, failed or lost
-// attempts re-queue, and straggling tail attempts are speculatively
-// duplicated on idle workers. A canceled fleet context fans the
-// cancellation out: every in-flight worker job gets a DELETE and its
-// terminal partial view is collected. submit dispatches shard i to one
-// worker and returns the queued job's view.
-func (c *Coordinator) runShards(ctx context.Context, n int, target string, hooks FleetHooks,
-	submit func(ctx context.Context, workerAddr string, shard int) (JobView, error)) []shardOutcome {
-	return newDispatcher(c, ctx, n, target, hooks, submit).run()
+// fleetJob is what one fleet job hands the dispatcher: where its
+// shards may run, how many there are, how to submit one, and which
+// worker outcomes answer a shard.
+type fleetJob struct {
+	target string
+	shards int
+	hooks  FleetHooks
+	// submit dispatches shard i to one worker and returns the queued
+	// job's view.
+	submit func(ctx context.Context, workerAddr string, shard int) (JobView, error)
+	// failedAnswers makes a worker job that ends failed the shard's
+	// answer (an infeasible design) rather than a fault to re-queue.
+	failedAnswers bool
+}
+
+// runShards drives a fleet job's shards to outcomes through the
+// pull-based dispatcher in scheduler.go: shards queue in index
+// (locality) order, workers with free capacity pull the next shard,
+// failed or lost attempts re-queue, and straggling tail attempts are
+// speculatively duplicated on idle workers. A canceled fleet context
+// fans the cancellation out: every in-flight worker job gets a DELETE
+// and its terminal partial view is collected. With no alive worker for
+// the target it returns ErrUnavailable without dispatching anything.
+func (c *Coordinator) runShards(ctx context.Context, job fleetJob) ([]shardOutcome, error) {
+	if !c.HasWorkers(job.target) {
+		return nil, fmt.Errorf("%w for target %q", ErrUnavailable, job.target)
+	}
+	return newDispatcher(c, ctx, job).run(), nil
+}
+
+// mergeShards folds a fleet job's outcomes in shard order: add sees
+// every shard view that landed, and the first stop tag is returned. A
+// lost shard fails the whole job.
+func mergeShards(outcomes []shardOutcome, add func(JobView)) (stopped string, err error) {
+	for _, o := range outcomes {
+		if o.err != nil {
+			return "", o.err
+		}
+		if stopped == "" {
+			stopped = o.stopped
+		}
+		if o.got {
+			add(o.view)
+		}
+	}
+	return stopped, nil
 }
 
 // ingestSpans grafts a worker view's piggybacked spans into the
@@ -435,44 +470,33 @@ type SweepSpec struct {
 // flat enumeration. Returned alongside are the summed worker cache
 // hits and the stop tag ("" unless the fleet context ended first).
 func (c *Coordinator) Sweep(ctx context.Context, spec SweepSpec, hooks FleetHooks) (*dse.Exploration, int, string, error) {
-	if !c.HasWorkers(spec.Target) {
-		return nil, 0, "", fmt.Errorf("%w for target %q", ErrUnavailable, spec.Target)
-	}
 	ranges := spec.Space.Partition(c.shardCount(spec.Space.Size(), c.opts.ShardUnit))
-	submit := func(ctx context.Context, workerAddr string, shard int) (JobView, error) {
-		r := ranges[shard]
-		base := spec.Base
-		op := spec.Op
-		return c.client.SweepShard(ctx, workerAddr, SweepShardRequest{
-			Target:    spec.Target,
-			Base:      &base,
-			Space:     spec.Space,
-			Op:        &op,
-			Lo:        r.Lo,
-			Hi:        r.Hi,
-			TimeoutMS: spec.TimeoutMS,
-		})
+	outcomes, err := c.runShards(ctx, fleetJob{target: spec.Target, shards: len(ranges), hooks: hooks,
+		submit: func(ctx context.Context, workerAddr string, shard int) (JobView, error) {
+			r := ranges[shard]
+			base, op := spec.Base, spec.Op
+			return c.client.SweepShard(ctx, workerAddr, SweepShardRequest{
+				Target: spec.Target, Base: &base, Space: spec.Space, Op: &op,
+				Lo: r.Lo, Hi: r.Hi, TimeoutMS: spec.TimeoutMS,
+			})
+		}})
+	if err != nil {
+		return nil, 0, "", err
 	}
-	outcomes := c.runShards(ctx, len(ranges), spec.Target, hooks, submit)
 
 	_, msp := obs.StartSpan(ctx, "fleet.merge", "shards", strconv.Itoa(len(ranges)))
 	defer msp.End()
-	stopped := ""
 	var pts []dse.Point
 	infeasible, cached := 0, 0
-	for _, o := range outcomes {
-		if o.err != nil {
-			return nil, 0, "", o.err
+	stopped, err := mergeShards(outcomes, func(v JobView) {
+		if v.Sweep != nil {
+			pts = append(pts, v.Sweep.Ranked...)
+			infeasible += v.Sweep.Infeasible
+			cached += v.CachedPoints
 		}
-		if o.stopped != "" && stopped == "" {
-			stopped = o.stopped
-		}
-		if !o.got || o.view.Sweep == nil {
-			continue
-		}
-		pts = append(pts, o.view.Sweep.Ranked...)
-		infeasible += o.view.Sweep.Infeasible
-		cached += o.view.CachedPoints
+	})
+	if err != nil {
+		return nil, 0, "", err
 	}
 	ex := dse.Rank(pts, spec.Op)
 	ex.Infeasible = infeasible
@@ -493,38 +517,29 @@ type SurfaceSpec struct {
 // are contiguous in pattern-major order and the simulator is
 // deterministic.
 func (c *Coordinator) Surface(ctx context.Context, spec SurfaceSpec, hooks FleetHooks) (*surface.Surface, string, error) {
-	if !c.HasWorkers(spec.Target) {
-		return nil, "", fmt.Errorf("%w for target %q", ErrUnavailable, spec.Target)
-	}
 	shards := spec.Config.PartitionCurves(c.shardCount(spec.Config.CurveCount(), 1))
-	submit := func(ctx context.Context, workerAddr string, shard int) (JobView, error) {
-		sh := shards[shard]
-		cfg := spec.Config
-		return c.client.SurfaceShard(ctx, workerAddr, SurfaceShardRequest{
-			Target:    spec.Target,
-			Config:    &cfg,
-			Lo:        sh.Lo,
-			Hi:        sh.Hi,
-			TimeoutMS: spec.TimeoutMS,
-		})
+	outcomes, err := c.runShards(ctx, fleetJob{target: spec.Target, shards: len(shards), hooks: hooks,
+		submit: func(ctx context.Context, workerAddr string, shard int) (JobView, error) {
+			sh := shards[shard]
+			cfg := spec.Config
+			return c.client.SurfaceShard(ctx, workerAddr, SurfaceShardRequest{
+				Target: spec.Target, Config: &cfg, Lo: sh.Lo, Hi: sh.Hi, TimeoutMS: spec.TimeoutMS,
+			})
+		}})
+	if err != nil {
+		return nil, "", err
 	}
-	outcomes := c.runShards(ctx, len(shards), spec.Target, hooks, submit)
 
 	_, msp := obs.StartSpan(ctx, "fleet.merge", "shards", strconv.Itoa(len(shards)))
 	defer msp.End()
-	stopped := ""
 	var parts []*surface.Surface
-	for _, o := range outcomes {
-		if o.err != nil {
-			return nil, "", o.err
+	stopped, err := mergeShards(outcomes, func(v JobView) {
+		if v.Surface != nil {
+			parts = append(parts, v.Surface)
 		}
-		if o.stopped != "" && stopped == "" {
-			stopped = o.stopped
-		}
-		if !o.got || o.view.Surface == nil {
-			continue
-		}
-		parts = append(parts, o.view.Surface)
+	})
+	if err != nil {
+		return nil, "", err
 	}
 	if len(parts) == 0 {
 		return nil, stopped, fmt.Errorf("%w: no surface shards returned", ErrUnavailable)
@@ -539,75 +554,33 @@ func (c *Coordinator) Surface(ctx context.Context, spec SurfaceSpec, hooks Fleet
 	return merged, stopped, nil
 }
 
-// Eval runs one configuration on the fleet — the remote-eval client
-// pool behind a coordinator-local optimizer search. The worker is
-// picked per call (locality, then load), so concurrent searches
-// balance across the fleet. A failed worker job whose fleet-side
-// transport succeeded is a real evaluation outcome (an infeasible
-// design) and is returned as a plain error; transport-level failures
-// are retried on other workers and, when exhausted, reported wrapped
-// in ErrUnavailable so the caller falls back to evaluating locally.
+// Eval runs one configuration on the fleet as a one-shard fleet job,
+// so a remote run gets the same capacity backpressure, liveness
+// watchdog and cancel fan-out as a sweep shard. A worker job that
+// fails is a real evaluation outcome (an infeasible design): it is not
+// retried and comes back as a plain error. No alive worker for the
+// target, or the shard lost after MaxAttempts, is reported wrapped in
+// ErrUnavailable so the caller falls back to evaluating locally.
 func (c *Coordinator) Eval(ctx context.Context, target string, cfg core.Config, timeoutMS int64) (*core.Result, error) {
-	excluded := make(map[string]bool)
-	var lastErr error = ErrNoWorkers
-	for attempt := 1; attempt <= c.opts.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		w, ok := c.reg.acquire(target, excluded)
-		if !ok {
-			break
-		}
-		cc := cfg
-		// Same contract as shard.execute: one span per attempt, the span
-		// ID stamped onto the worker request so the worker's job spans
-		// graft under it.
-		ectx, sp := obs.StartSpan(ctx, "cluster.eval",
-			"worker", w.ID, "attempt", strconv.Itoa(attempt))
-		view, err := c.client.Run(ectx, w.Addr, RunRequest{Target: target, Config: &cc, TimeoutMS: timeoutMS})
-		c.ingestSpans(ctx, &view)
-		switch {
-		case err == nil && view.Status == "done" && view.Result != nil:
-			sp.SetAttr("state", "done")
-			sp.End()
-			c.reg.release(w.ID, true)
-			c.remoteEvals.Add(1)
-			return view.Result, nil
-		case err == nil && view.Status == "failed":
-			// The worker evaluated the point and the simulator rejected it:
-			// an infeasible design, not a fleet problem.
-			sp.SetAttr("state", "infeasible")
-			sp.End()
-			c.reg.release(w.ID, true)
-			return nil, errors.New(view.Error)
-		case err == nil:
-			sp.SetAttr("state", "failed")
-			sp.End()
-			c.reg.release(w.ID, false)
-			lastErr = fmt.Errorf("worker %s: run job %s", w.ID, view.Status)
-			excluded[w.ID] = true
-		default:
-			sp.SetAttr("state", "failed")
-			sp.SetAttr("lost", "true")
-			sp.End()
-			if ctx.Err() != nil {
-				c.reg.release(w.ID, false)
-				return nil, ctx.Err()
-			}
-			c.reg.release(w.ID, false)
-			// Only transport-level failures suggest a dead worker; a live
-			// worker's well-formed refusal (queue full) must not mark it
-			// down and trip the watchdog on its other work.
-			var se *StatusError
-			if !errors.As(err, &se) {
-				c.reg.markDown(w.ID)
-				c.log.Warn("cluster: marking worker down after remote eval transport failure",
-					"worker", w.ID, "addr", w.Addr, "attempt", attempt,
-					"trace", obs.TraceID(ctx), "err", err)
-			}
-			lastErr = err
-			excluded[w.ID] = true
-		}
+	outcomes, err := c.runShards(ctx, fleetJob{target: target, shards: 1, failedAnswers: true,
+		submit: func(ctx context.Context, workerAddr string, _ int) (JobView, error) {
+			cc := cfg
+			return c.client.RunShard(ctx, workerAddr, RunRequest{Target: target, Config: &cc, TimeoutMS: timeoutMS})
+		}})
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("%w: %v", ErrUnavailable, lastErr)
+	switch o := outcomes[0]; {
+	case o.stopped != "":
+		return nil, ctx.Err()
+	case o.err != nil:
+		return nil, fmt.Errorf("%w: %v", ErrUnavailable, o.err)
+	case o.view.Status == "failed":
+		return nil, errors.New(o.view.Error)
+	case o.view.Result == nil:
+		return nil, fmt.Errorf("%w: worker run job %s has no result", ErrUnavailable, o.view.ID)
+	default:
+		c.remoteEvals.Add(1)
+		return o.view.Result, nil
+	}
 }

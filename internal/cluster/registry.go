@@ -161,42 +161,19 @@ func serves(info WorkerInfo, target string) bool {
 	return false
 }
 
-// acquire picks the best alive worker serving target outside excluded
-// and reserves one in-flight slot on it. Serving the target is a hard
-// requirement, not a preference: a worker that does not advertise the
-// target rejects its shard with a validation error, so dispatching
-// there can only waste an attempt and smear a healthy worker's
-// failure record. Among the eligible, the least relative load
-// (inflight/capacity) wins, then the fewest failures, then ID order
-// for determinism. ok is false when no alive, serving, non-excluded
-// worker exists.
-func (r *registry) acquire(target string, excluded map[string]bool) (WorkerInfo, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var best *workerState
-	for _, id := range r.sortedIDsLocked() {
-		w := r.workers[id]
-		if excluded[id] || !r.aliveLocked(w) || !serves(w.info, target) {
-			continue
-		}
-		if best == nil || betterPick(w, best) {
-			best = w
-		}
-	}
-	if best == nil {
-		return WorkerInfo{}, false
-	}
-	best.inflight++
-	return best.info, true
-}
-
-// acquireSlot is acquire with backpressure: only workers with a free
-// capacity slot are eligible, so the shard dispatcher hands out at
-// most Capacity shards per worker and keeps the rest queued — the
-// "bounded" half of the pull-based queue. idleOnly further restricts
-// the pick to completely idle workers (inflight == 0); speculation
-// uses it so duplicate attempts only ever consume capacity nothing
-// else wants.
+// acquireSlot picks the best alive worker serving target outside
+// excluded that has a free capacity slot, and reserves the slot. The
+// capacity bound is the "bounded" half of the pull-based queue: the
+// dispatcher hands out at most Capacity shards per worker and keeps the
+// rest queued. Serving the target is a hard requirement, not a
+// preference: a worker that does not advertise the target rejects its
+// shard with a validation error, so dispatching there can only waste
+// an attempt and smear a healthy worker's failure record. Among the
+// eligible, the least relative load (inflight/capacity) wins, then the
+// fewest failures, then ID order for determinism. idleOnly further
+// restricts the pick to completely idle workers (inflight == 0);
+// speculation uses it so duplicate attempts only ever consume capacity
+// nothing else wants. ok is false when no worker qualifies.
 func (r *registry) acquireSlot(target string, excluded map[string]bool, idleOnly bool) (WorkerInfo, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -260,7 +237,8 @@ func (r *registry) sortedIDsLocked() []string {
 	return ids
 }
 
-// release returns an acquire'd slot and records the attempt's outcome.
+// release frees a slot reserved by acquireSlot and records the
+// attempt's outcome.
 func (r *registry) release(id string, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -278,9 +256,9 @@ func (r *registry) release(id string, ok bool) {
 	}
 }
 
-// releaseOnly returns an acquire'd slot without recording an outcome —
-// used for attempts that lost a speculation race, which are neither a
-// completion nor the worker's fault.
+// releaseOnly frees a slot reserved by acquireSlot without recording
+// an outcome — used for attempts that lost a speculation race, which
+// are neither a completion nor the worker's fault.
 func (r *registry) releaseOnly(id string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

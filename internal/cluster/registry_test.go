@@ -55,28 +55,30 @@ func TestRegistryLiveness(t *testing.T) {
 
 func TestRegistryAcquireLocalityAndLoad(t *testing.T) {
 	r, _ := testRegistry(time.Minute)
-	r.upsert(WorkerInfo{ID: "cpu-1", Addr: "http://c1", Targets: []string{"cpu"}, Capacity: 2})
+	r.upsert(WorkerInfo{ID: "cpu-1", Addr: "http://c1", Targets: []string{"cpu"}, Capacity: 4})
 	r.upsert(WorkerInfo{ID: "gpu-1", Addr: "http://g1", Targets: []string{"gpu"}, Capacity: 8})
 
 	// Serving the target is a hard requirement: the cpu worker takes
 	// cpu shards even though the gpu worker has far more free capacity.
-	w, ok := r.acquire("cpu", nil)
+	// cpu-1 keeps free slots throughout, so only the target and the
+	// exclusions decide the picks.
+	w, ok := r.acquireSlot("cpu", nil, false)
 	if !ok || w.ID != "cpu-1" {
-		t.Fatalf("acquire(cpu) = %+v, %v", w, ok)
+		t.Fatalf("acquireSlot(cpu) = %+v, %v", w, ok)
 	}
-	w2, ok := r.acquire("cpu", nil)
+	w2, ok := r.acquireSlot("cpu", nil, false)
 	if !ok || w2.ID != "cpu-1" {
-		t.Fatalf("second acquire(cpu) = %+v", w2)
+		t.Fatalf("second acquireSlot(cpu) = %+v", w2)
 	}
 	// A worker that does not advertise the target is never a fallback —
 	// it would just reject the shard with a validation error.
-	if w3, ok := r.acquire("cpu", map[string]bool{"cpu-1": true}); ok {
-		t.Fatalf("acquire(cpu, exclude local) handed out non-serving worker %+v", w3)
+	if w3, ok := r.acquireSlot("cpu", map[string]bool{"cpu-1": true}, false); ok {
+		t.Fatalf("acquireSlot(cpu, exclude local) handed out non-serving worker %+v", w3)
 	}
 	// The empty target matches any worker.
-	w4, ok := r.acquire("", map[string]bool{"cpu-1": true})
+	w4, ok := r.acquireSlot("", map[string]bool{"cpu-1": true}, false)
 	if !ok || w4.ID != "gpu-1" {
-		t.Fatalf("acquire(any) = %+v, %v", w4, ok)
+		t.Fatalf("acquireSlot(any) = %+v, %v", w4, ok)
 	}
 	r.release("cpu-1", true)
 	r.release("cpu-1", true)
@@ -96,16 +98,17 @@ func TestRegistryAcquireLocalityAndLoad(t *testing.T) {
 
 func TestRegistryAcquireBalancesRelativeLoad(t *testing.T) {
 	r, _ := testRegistry(time.Minute)
-	r.upsert(WorkerInfo{ID: "big", Addr: "http://b", Targets: []string{"cpu"}, Capacity: 4})
-	r.upsert(WorkerInfo{ID: "small", Addr: "http://s", Targets: []string{"cpu"}, Capacity: 1})
+	r.upsert(WorkerInfo{ID: "big", Addr: "http://b", Targets: []string{"cpu"}, Capacity: 8})
+	r.upsert(WorkerInfo{ID: "small", Addr: "http://s", Targets: []string{"cpu"}, Capacity: 2})
 
-	// Five acquisitions: the 4-slot worker should absorb four, the
-	// 1-slot worker one — relative load, not round robin.
+	// Five acquisitions, none filling a worker: the 8-slot worker should
+	// absorb four, the 2-slot worker one — relative load, not round
+	// robin.
 	got := map[string]int{}
 	for i := 0; i < 5; i++ {
-		w, ok := r.acquire("cpu", nil)
+		w, ok := r.acquireSlot("cpu", nil, false)
 		if !ok {
-			t.Fatal("acquire failed with free capacity")
+			t.Fatal("acquireSlot failed with free capacity")
 		}
 		got[w.ID]++
 	}
@@ -113,18 +116,19 @@ func TestRegistryAcquireBalancesRelativeLoad(t *testing.T) {
 		t.Errorf("distribution = %v, want big:4 small:1", got)
 	}
 
-	// No alive workers at all: acquire reports failure.
+	// No alive workers at all: acquireSlot reports failure, although both
+	// still have free slots.
 	r.markDown("big")
 	r.markDown("small")
-	if _, ok := r.acquire("cpu", nil); ok {
-		t.Error("acquire succeeded with every worker down")
+	if _, ok := r.acquireSlot("cpu", nil, false); ok {
+		t.Error("acquireSlot succeeded with every worker down")
 	}
 }
 
 func TestRegistryUpsertKeepsHistory(t *testing.T) {
 	r, _ := testRegistry(time.Minute)
 	r.upsert(WorkerInfo{ID: "a", Addr: "http://a", Capacity: 2})
-	w, _ := r.acquire("", nil)
+	w, _ := r.acquireSlot("", nil, false)
 	r.release(w.ID, true)
 	// A restarted worker re-registers under its ID: liveness resets,
 	// history survives.

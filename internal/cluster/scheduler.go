@@ -52,13 +52,10 @@ type attemptResult struct {
 // owned by the run loop goroutine; attempt goroutines communicate only
 // through the results channel.
 type dispatcher struct {
-	c      *Coordinator
-	ctx    context.Context
-	target string
-	hooks  FleetHooks
-	submit func(ctx context.Context, workerAddr string, shard int) (JobView, error)
+	c   *Coordinator
+	ctx context.Context
+	fleetJob
 
-	n        int
 	outcomes []shardOutcome
 	settled  []bool
 	settledN int
@@ -77,11 +74,10 @@ type dispatcher struct {
 	nextStall time.Time // pacing for stall rounds, follows the backoff schedule
 }
 
-func newDispatcher(c *Coordinator, ctx context.Context, n int, target string, hooks FleetHooks,
-	submit func(ctx context.Context, workerAddr string, shard int) (JobView, error)) *dispatcher {
+func newDispatcher(c *Coordinator, ctx context.Context, job fleetJob) *dispatcher {
+	n := job.shards
 	d := &dispatcher{
-		c: c, ctx: ctx, target: target, hooks: hooks, submit: submit,
-		n:         n,
+		c: c, ctx: ctx, fleetJob: job,
 		outcomes:  make([]shardOutcome, n),
 		settled:   make([]bool, n),
 		pending:   make([]int, 0, n),
@@ -123,7 +119,7 @@ func (d *dispatcher) pollEvery() time.Duration {
 func (d *dispatcher) run() []shardOutcome {
 	defer func() { d.c.queueDepth.Add(-int64(len(d.pending))) }()
 	ctxDone := d.ctx.Done()
-	for d.settledN < d.n {
+	for d.settledN < d.shards {
 		if d.ctx.Err() == nil {
 			d.dispatch()
 			d.maybeSpeculate()
@@ -288,7 +284,7 @@ func (d *dispatcher) inflightCount() int {
 // shards before it means anything. One duplicate per shard, on an
 // idle worker other than the one already running it.
 func (d *dispatcher) maybeSpeculate() {
-	if d.c.opts.DisableSpeculation || len(d.pending) > 0 || d.settledN == d.n {
+	if d.c.opts.DisableSpeculation || len(d.pending) > 0 || d.settledN == d.shards {
 		return
 	}
 	if len(d.durations) < d.c.opts.SpecMinSamples {
@@ -531,7 +527,7 @@ func (d *dispatcher) runAttempt(ctx context.Context, at *attemptState) {
 	elapsed := time.Since(at.started).Milliseconds()
 	var se *StatusError
 	switch {
-	case err == nil && view.Status == "done":
+	case err == nil && (view.Status == "done" || d.failedAnswers && view.Status == "failed"):
 		c.ingestSpans(d.ctx, &view)
 		sp.SetAttr("state", "done")
 		sp.End()

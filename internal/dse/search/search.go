@@ -189,9 +189,6 @@ func (e *Engine) Size() int { return e.size }
 // Budget returns the unique-evaluation budget.
 func (e *Engine) Budget() int { return e.budget }
 
-// Unique returns the number of unique evaluations performed so far.
-func (e *Engine) Unique() int { return len(e.points) }
-
 // Exhausted reports whether the budget is spent.
 func (e *Engine) Exhausted() bool { return len(e.points) >= e.budget }
 

@@ -597,6 +597,249 @@ func TestFleetRunEvaluatesOnWorkers(t *testing.T) {
 	}
 }
 
+// peakDevice holds every compilation until the gate closes, counting
+// the compilations in progress on one worker and recording their peak.
+// With the gate shut, every job running on the worker is blocked in
+// Compile, so the peak is the most jobs the worker ever ran at once.
+type peakDevice struct {
+	device.Device
+	gate               <-chan struct{}
+	cur, peak, entered *atomic.Int64
+}
+
+func (d peakDevice) Compile(k kernel.Kernel) (device.Compiled, error) {
+	n := d.cur.Add(1)
+	defer d.cur.Add(-1)
+	for p := d.peak.Load(); n > p && !d.peak.CompareAndSwap(p, n); p = d.peak.Load() {
+	}
+	d.entered.Add(1)
+	<-d.gate
+	return d.Device.Compile(k)
+}
+
+// TestFleetRunRespectsCapacity: concurrent /v1/run misses on a
+// coordinator never put more jobs on a worker than the capacity it
+// registered, even when the worker's own pool could run more; the
+// excess waits on the coordinator and runs as slots free up.
+func TestFleetRunRespectsCapacity(t *testing.T) {
+	const capacity, runs = 2, 6
+	gate := make(chan struct{})
+	var gateOnce sync.Once
+	openGate := func() { gateOnce.Do(func() { close(gate) }) }
+	defer openGate()
+	var entered atomic.Int64
+
+	coord := cluster.New(cluster.Options{HeartbeatTTL: 5 * time.Minute, DisableSpeculation: true})
+	t.Cleanup(coord.Close)
+	peaks := make([]*atomic.Int64, 2)
+	for i := range peaks {
+		cur, peak := &atomic.Int64{}, &atomic.Int64{}
+		peaks[i] = peak
+		w := newEnv(t, service.Options{Workers: runs, NewDevice: func(id string) (device.Device, error) {
+			d, err := targets.ByID(id)
+			if err != nil {
+				return nil, err
+			}
+			return peakDevice{Device: d, gate: gate, cur: cur, peak: peak, entered: &entered}, nil
+		}})
+		coord.Register(cluster.WorkerInfo{ID: fmt.Sprintf("w%d", i), Addr: w.ts.URL, Targets: targets.IDs(), Capacity: capacity})
+	}
+	e := newEnv(t, service.Options{Cluster: coord, Workers: runs})
+
+	// Distinct configurations, so no cache or single-flight folds them.
+	var ids []string
+	for _, vec := range []int{1, 2, 4} {
+		for _, typ := range []kernel.DataType{kernel.Int32, kernel.Float64} {
+			cfg := smallConfig()
+			cfg.VecWidth, cfg.Type = vec, typ
+			_, data := e.post(t, "/v1/run", service.RunRequest{Target: "cpu", Config: &cfg, Async: true})
+			ids = append(ids, decodeJob(t, data).ID)
+		}
+	}
+	// Fill both workers, then give any over-capacity dispatch time to
+	// show before the gate opens.
+	deadline := time.Now().Add(10 * time.Second)
+	for entered.Load() < 2*capacity {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d runs reached the workers", entered.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for settle := time.Now().Add(300 * time.Millisecond); time.Now().Before(settle) && entered.Load() < runs; {
+		time.Sleep(time.Millisecond)
+	}
+	openGate()
+
+	for _, id := range ids {
+		if v := e.pollJob(t, id); v.Status != service.StatusDone || v.Result == nil {
+			t.Errorf("run %s = status %q error %q, want done", id, v.Status, v.Error)
+		}
+	}
+	for i, p := range peaks {
+		if p.Load() > capacity {
+			t.Errorf("worker %d ran %d jobs at once, capacity %d", i, p.Load(), capacity)
+		}
+	}
+	if n := e.compiles.Load(); n != 0 {
+		t.Errorf("coordinator compiled %d kernels, want 0", n)
+	}
+}
+
+// syncClock is a registry clock the test advances by hand.
+type syncClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *syncClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *syncClock) advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t = c.t.Add(d)
+}
+
+// TestFleetRunReapsDeadWorker: a remote run whose worker stops being
+// alive mid-run (its heartbeat TTL expires while its device blocks) is
+// reaped by the liveness watchdog and finishes done on the surviving
+// worker, well inside the job's timeout.
+func TestFleetRunReapsDeadWorker(t *testing.T) {
+	gate := make(chan struct{})
+	defer close(gate)
+	entered := make(chan struct{}, 1)
+
+	const ttl = 2 * time.Second
+	clk := &syncClock{t: time.Now()}
+	coord := cluster.New(cluster.Options{
+		HeartbeatTTL: ttl, Now: clk.now,
+		RetryBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond,
+		DisableSpeculation: true,
+	})
+	t.Cleanup(coord.Close)
+	// Worker "a" wins the first pick (equal load, ID order) and blocks.
+	a := newEnv(t, service.Options{NewDevice: func(id string) (device.Device, error) {
+		d, err := targets.ByID(id)
+		if err != nil {
+			return nil, err
+		}
+		return gatedDevice{Device: d, gate: gate, entered: entered}, nil
+	}})
+	b := newEnv(t, service.Options{})
+	for id, w := range map[string]*testEnv{"a": a, "b": b} {
+		coord.Register(cluster.WorkerInfo{ID: id, Addr: w.ts.URL, Targets: targets.IDs(), Capacity: 1})
+	}
+	e := newEnv(t, service.Options{Cluster: coord})
+
+	const timeoutMS = 10_000
+	_, data := e.post(t, "/v1/run", service.RunRequest{Target: "cpu", Config: ptr(smallConfig()), Async: true, TimeoutMS: timeoutMS})
+	job := decodeJob(t, data)
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the run never reached worker a")
+	}
+	// Only b keeps heartbeating: a's registration ages past the TTL.
+	for i := 0; i < 2; i++ {
+		clk.advance(ttl/2 + time.Millisecond)
+		coord.Heartbeat("b")
+	}
+
+	start := time.Now()
+	final := e.pollJob(t, job.ID)
+	if final.Status != service.StatusDone || final.Result == nil {
+		t.Fatalf("run after worker a died = status %q stop %q error %q, want done", final.Status, final.StopReason, final.Error)
+	}
+	if waited := time.Since(start); waited > timeoutMS*time.Millisecond {
+		t.Errorf("run took %v after worker a died, past its %d ms timeout", waited, timeoutMS)
+	}
+	if b.compiles.Load() == 0 {
+		t.Error("the surviving worker never ran the configuration")
+	}
+}
+
+// TestFleetCancelRunReachesWorker: canceling an async run on a
+// coordinator cancels the worker job evaluating it, instead of leaving
+// that job to run to completion.
+func TestFleetCancelRunReachesWorker(t *testing.T) {
+	gate := make(chan struct{})
+	var gateOnce sync.Once
+	openGate := func() { gateOnce.Do(func() { close(gate) }) }
+	defer openGate()
+	entered := make(chan struct{}, 1)
+	fe := newFleetEnv(t, 1, func(int) service.Options {
+		return service.Options{NewDevice: func(id string) (device.Device, error) {
+			d, err := targets.ByID(id)
+			if err != nil {
+				return nil, err
+			}
+			return gatedDevice{Device: d, gate: gate, entered: entered}, nil
+		}}
+	})
+
+	_, data := fe.post(t, "/v1/run", service.RunRequest{Target: "cpu", Config: ptr(smallConfig()), Async: true})
+	job := decodeJob(t, data)
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the run never reached the worker")
+	}
+	fe.cancelJob(t, job.ID)
+	deadline := time.Now().Add(10 * time.Second)
+	for !workerCancelLanded(t, fe) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	openGate()
+
+	if v := fe.pollJob(t, job.ID); v.Status != service.StatusCanceled {
+		t.Errorf("coordinator run = status %q error %q, want canceled", v.Status, v.Error)
+	}
+	w := fe.workers[0]
+	jobs := workerJobs(t, w)
+	if len(jobs) != 1 {
+		t.Fatalf("worker ran %d jobs, want 1", len(jobs))
+	}
+	if v := w.pollJob(t, jobs[0].ID); v.Status != service.StatusCanceled {
+		t.Errorf("worker run job = status %q, want canceled", v.Status)
+	}
+}
+
+// TestFleetInfeasibleRun: an infeasible configuration run on a
+// coordinator fails with the same error text as on a standalone server
+// and is evaluated exactly once — a worker-side failure is the design's
+// answer, not a fault to retry on another worker.
+func TestFleetInfeasibleRun(t *testing.T) {
+	cfg := smallConfig()
+	cfg.OptimalLoop = false
+	cfg.Loop = kernel.FlatLoop
+	cfg.Attrs.Unroll = 64
+	cfg.VecWidth = 16
+	cfg.Type = kernel.Float64
+	cfg.Ops = []kernel.Op{kernel.Triad}
+	req := service.RunRequest{Target: "aocl", Config: &cfg}
+
+	_, data := newEnv(t, service.Options{}).post(t, "/v1/run", req)
+	want := decodeJob(t, data)
+	if want.Status != service.StatusFailed || want.Error == "" {
+		t.Fatalf("standalone infeasible run = %+v", want)
+	}
+	fe := newFleetEnv(t, 2, nil)
+	_, data = fe.post(t, "/v1/run", req)
+	got := decodeJob(t, data)
+	if got.Status != service.StatusFailed || got.Error != want.Error {
+		t.Errorf("fleet infeasible run = status %q error %q, want failed with %q", got.Status, got.Error, want.Error)
+	}
+	if n := fe.workerCompiles(); n != 1 {
+		t.Errorf("workers compiled %d times, want 1", n)
+	}
+	if n := fe.compiles.Load(); n != 0 {
+		t.Errorf("coordinator compiled %d kernels, want 0", n)
+	}
+}
+
 // TestFleetLoopsBack: work a coordinator hands its fleet may come back
 // to a coordinator already waiting on that key's single-flight — its
 // own, when it is listed in its own fleet, or a peer's, when two

@@ -165,7 +165,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) (int, error) {
 //	GET    /v1/cluster/metrics       federated fleet metrics, one exposition with a worker label (coordinators only)
 //	POST   /v1/cluster/shard/sweep   execute one sweep grid shard [lo, hi)
 //	POST   /v1/cluster/shard/surface execute one surface curve shard [lo, hi)
-//	POST   /v1/cluster/shard/run     execute one configuration (sync)
+//	POST   /v1/cluster/shard/run     execute one configuration
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", s.handleRun)
@@ -260,8 +260,9 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, j *Job, async b
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) { s.serveRun(w, r, false) }
 
 // handleRunShard is POST /v1/cluster/shard/run: evaluate one
-// configuration locally — the worker half of a coordinator's remote
-// eval. Any server answers it; the run is never handed on.
+// configuration locally — the worker half of Coordinator.Eval's
+// one-shard fleet job. Any server answers it; the run is never handed
+// on.
 func (s *Server) handleRunShard(w http.ResponseWriter, r *http.Request) { s.serveRun(w, r, true) }
 
 func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, shard bool) {

@@ -109,7 +109,7 @@ type View struct {
 	Timing *obs.TraceSummary `json:"timing,omitempty"`
 	// Spans piggybacks the job's recorded spans on the final view —
 	// only for jobs submitted under a remote parent span (a fleet
-	// shard or remote eval), so the coordinator can graft the worker's
+	// shard, remote runs included), so the coordinator can graft the worker's
 	// subtree into its own trace. Plain jobs never ship span payloads.
 	Spans []obs.Span `json:"spans,omitempty"`
 }

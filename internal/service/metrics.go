@@ -114,7 +114,7 @@ func (s *Server) initObs(opts Options) {
 				Help: "Speculative attempts that lost the race or failed.", Kind: "counter",
 				Value: float64(fs.SpeculationWasted)})
 			emit(obs.Sample{Name: "mpstream_cluster_remote_evals_total",
-				Help: "Optimizer evaluations served by fleet workers.", Kind: "counter",
+				Help: "Run evaluations (run jobs, run checks, optimizer points) served by fleet workers.", Kind: "counter",
 				Value: float64(fs.RemoteEvals)})
 			for _, w := range c.Workers() {
 				l := []string{"worker", w.ID}

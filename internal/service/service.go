@@ -144,12 +144,12 @@ type Options struct {
 	// derives the list from the paper's four targets.
 	TargetInfos func() []device.Info
 	// Cluster attaches a fleet coordinator: sweep and surface jobs are
-	// sharded across its registered workers, run jobs and optimize
-	// point evaluations go out through its remote-eval pool, check jobs
-	// do whichever their baseline's kind does (all falling back to
-	// local execution while the fleet is empty), and the
-	// /v1/cluster/{register,heartbeat,workers} endpoints come alive.
-	// Nil means a standalone server. The server does not own the
+	// sharded across its registered workers, run job misses and
+	// optimize point evaluations each go to a worker as a one-shard
+	// fleet job, check jobs do whichever their baseline's kind does
+	// (all falling back to local execution while the fleet is empty),
+	// and the /v1/cluster/{register,heartbeat,workers} endpoints come
+	// alive. Nil means a standalone server. The server does not own the
 	// coordinator; the caller Closes it.
 	Cluster *cluster.Coordinator
 	// Metrics receives the server's telemetry; nil builds a private
@@ -896,9 +896,9 @@ func (s *Server) executeOptimize(ctx context.Context, j *Job, ev *evaluator) {
 // search runs j's strategy. Every unique evaluation shares the
 // per-point run cache with /v1/run and /v1/sweep, so an optimizer walks
 // for free over territory any earlier job explored; misses go to the
-// evaluator (on a coordinator, the fleet's remote-eval pool — the
-// search stays local, since strategies are adaptive and sequential,
-// while simulations spread over the workers).
+// evaluator (on a coordinator, one-shard fleet jobs — the search stays
+// local, since strategies are adaptive and sequential, while
+// simulations spread over the workers).
 func (s *Server) search(ctx context.Context, j *Job, ev *evaluator) (*search.Result, int, error) {
 	dev, err := ev.device()
 	if err != nil {

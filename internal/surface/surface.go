@@ -751,19 +751,6 @@ func (s *Surface) MinKneeGBps() float64 {
 	return min
 }
 
-// FindCurve returns the curve whose pattern label and read fraction
-// match, for diffing surfaces measured from the same ladder config
-// (the baseline checker matches curves this way because labels — not
-// mem.Pattern structs — are what a stored reference round-trips).
-func (s *Surface) FindCurve(patternLabel string, readFrac float64) (Curve, bool) {
-	for _, c := range s.Curves {
-		if PatternLabel(c.Pattern) == patternLabel && c.ReadFrac == readFrac {
-			return c, true
-		}
-	}
-	return Curve{}, false
-}
-
 // Table renders the surface as one table, the shared shape of the
 // mpsurf text/markdown/CSV output and of docs examples.
 func (s *Surface) Table() *report.Table {
